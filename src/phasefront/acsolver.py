@@ -6,6 +6,12 @@ at the arithmetic mean of the adjacent cell values, cross terms use
 cell-centered diffusivity with centered mixed differences, and the reaction
 is pointwise. Every flux term telescopes over the torus, so the reaction-free
 scheme conserves mass to round-off.
+
+One scheme path serves every diffusivity: a constant entry is a degree-0
+polynomial, whose face value is a scalar factor. ``simulate`` and
+``ordering_check`` march a per-run stepper that computes the stability bound
+and the Horner coefficients once and works on preallocated buffers; ``step``
+is the CFL-checked single-step wrapper around the same stepper.
 """
 
 from __future__ import annotations
@@ -74,61 +80,130 @@ def stability_dt(spec: ModelSpec, grid: Grid) -> float:
     return min(dt_diff, dt_react)
 
 
-def _diffusion(u: np.ndarray, spec: ModelSpec, h: float) -> np.ndarray:
-    d = spec.diffusivity
-    uxp = np.roll(u, -1, axis=0)
-    uxm = np.roll(u, 1, axis=0)
-    uyp = np.roll(u, -1, axis=1)
-    uym = np.roll(u, 1, axis=1)
-    inv_h2 = 1.0 / (h * h)
+def _descending(poly) -> np.ndarray:
+    """Horner coefficients of a Polynomial, highest degree first, with the
+    vanishing high-degree coefficients dropped."""
+    return poly.trim().coef[::-1]
 
-    if d.is_constant:
-        d11 = float(d.entry(0, 0)(0.0))
-        d22 = float(d.entry(1, 1)(0.0))
-        d12 = float(d.entry(0, 1)(0.0))
-        out = (d11 * (uxp - 2.0 * u + uxm) + d22 * (uyp - 2.0 * u + uym)) * inv_h2
-        if d12 != 0.0:
-            uxpyp = np.roll(uxp, -1, axis=1)
-            uxpym = np.roll(uxp, 1, axis=1)
-            uxmyp = np.roll(uxm, -1, axis=1)
-            uxmym = np.roll(uxm, 1, axis=1)
-            out += 2.0 * d12 * (uxpyp - uxpym - uxmyp + uxmym) * (0.25 * inv_h2)
-        return out
 
-    d11c = d.entry(0, 0).coef[::-1]
-    d22c = d.entry(1, 1).coef[::-1]
-    face_x = np.polyval(d11c, 0.5 * (u + uxp))
-    flux_x = face_x * (uxp - u)
-    face_y = np.polyval(d22c, 0.5 * (u + uyp))
-    flux_y = face_y * (uyp - u)
-    out = (flux_x - np.roll(flux_x, 1, axis=0)
-           + flux_y - np.roll(flux_y, 1, axis=1)) * inv_h2
+def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray):
+    """Evaluate the polynomial at x into out; degree 0 gives its scalar.
 
-    d12_poly = d.entry(0, 1)
-    if d12_poly.coef.size > 1 or d12_poly.coef[0] != 0.0:
-        d12 = np.polyval(d12_poly.coef[::-1], u)
-        gx = d12 * (uyp - uym)            # D12(u) * 2h u_y
-        gy = d12 * (uxp - uxm)
-        out += ((np.roll(gx, -1, axis=0) - np.roll(gx, 1, axis=0))
-                + (np.roll(gy, -1, axis=1) - np.roll(gy, 1, axis=1))) * (0.25 * inv_h2)
+    Zero coefficients add nothing and are skipped.
+    """
+    if coefs.size == 1:
+        return coefs[0]
+    np.multiply(x, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        if c:
+            out += c
+        out *= x
+    if coefs[-1]:
+        out += coefs[-1]
     return out
+
+
+def _periodic(op, u: np.ndarray, p: int, q: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = op(u[i + p], u[i + q]) along axis 0 with periodic wrap, for
+    offsets p, q in {-1, 0, 1}: the interior is one slice operation and the
+    at most two wrapped rows are done one by one."""
+    n = u.shape[0]
+    lo, hi = max(0, -p, -q), max(0, p, q)
+    op(u[lo + p:n - hi + p], u[lo + q:n - hi + q], out=out[lo:n - hi])
+    for i in (*range(lo), *range(n - hi, n)):
+        op(u[(i + p) % n], u[(i + q) % n], out=out[i])
+    return out
+
+
+class _Stepper:
+    """Forward-Euler march of one (spec, grid, reaction) on preallocated
+    buffers: the stability bound and the Horner coefficients are computed
+    once, the field and the right-hand side ping-pong between two buffers,
+    and every stencil is a periodic slice difference written in place."""
+
+    def __init__(self, fld: ScalarField, spec: ModelSpec, *,
+                 reaction: bool = True):
+        grid = fld.grid
+        self.grid = grid
+        self.eps = spec.epsilon
+        self.dt_max = stability_dt(spec, grid)
+        d = spec.diffusivity
+        self.d11 = _descending(d.entry(0, 0))
+        self.d22 = _descending(d.entry(1, 1))
+        d12 = _descending(d.entry(0, 1))
+        self.d12 = d12 if d12.size > 1 or d12[0] != 0.0 else None
+        self.f = _descending(spec.reaction.poly) if reaction else None
+        self.inv_h2 = 1.0 / (grid.h * grid.h)
+        n = grid.n
+        self.u = np.array(fld.values, dtype=float)
+        self.a, self.b, self.c, self.rhs = (np.empty((n, n)) for _ in range(4))
+        self.t = fld.t
+        self.step_index = 0
+
+    def _where(self) -> str:
+        return (f"t = {self.t:g}, step {self.step_index}, "
+                f"eps = {self.eps:g}, grid n = {self.grid.n}")
+
+    def field(self) -> ScalarField:
+        return ScalarField(self.grid, self.u.copy(), self.t)
+
+    def _flux_divergence(self, coefs, axis: int) -> None:
+        """Add to rhs the flux D(face mean) (u(+1) - u) minus the same flux
+        one cell back, along axis; axis 0 starts rhs afresh."""
+        u, a, b, c, rhs = (x if axis == 0 else x.T
+                           for x in (self.u, self.a, self.b, self.c, self.rhs))
+        face = b
+        if coefs.size > 1:
+            _periodic(np.add, u, 0, 1, face)
+            face *= 0.5
+        flux = _periodic(np.subtract, u, 1, 0, a)
+        flux *= _horner(coefs, face, c)
+        if axis == 0:
+            _periodic(np.subtract, flux, 0, -1, rhs)
+        else:
+            rhs += flux
+            rhs[1:] -= flux[:-1]
+            rhs[:1] -= flux[-1:]
+
+    def advance(self, dt: float) -> None:
+        """One forward-Euler step of length dt."""
+        self.step_index += 1
+        if dt > self.dt_max * (1.0 + 1e-9):
+            raise CFLViolated(
+                f"dt = {dt:g} exceeds the stability bound {self.dt_max:g} "
+                f"at {self._where()}")
+        u, a, b, c, rhs = self.u, self.a, self.b, self.c, self.rhs
+        self._flux_divergence(self.d11, 0)
+        self._flux_divergence(self.d22, 1)
+        rhs *= self.inv_h2
+        if self.d12 is not None:
+            d12 = _horner(self.d12, u, c)
+            _periodic(np.subtract, u.T, 1, -1, b.T)
+            b *= d12                                # gx = D12(u) * 2h u_y
+            _periodic(np.subtract, b, 1, -1, a)
+            _periodic(np.subtract, u, 1, -1, b)
+            b *= d12                                # gy = D12(u) * 2h u_x
+            a += _periodic(np.subtract, b.T, 1, -1, c.T).T
+            a *= 0.25 * self.inv_h2
+            rhs += a
+        if self.f is not None:
+            react = _horner(self.f, u, c)
+            react /= self.eps**2
+            rhs += react
+        rhs *= dt
+        new = np.add(u, rhs, out=rhs)
+        self.t += dt
+        if not (np.isfinite(new.min()) and np.isfinite(new.max())):
+            raise Blowup(f"non-finite value at {self._where()}")
+        self.u, self.rhs = new, u
 
 
 def step(fld: ScalarField, spec: ModelSpec, dt: float, *,
          reaction: bool = True) -> ScalarField:
     """One forward-Euler step; raises CFLViolated/Blowup on contract breaks."""
-    if dt > stability_dt(spec, fld.grid) * (1.0 + 1e-9):
-        raise CFLViolated(
-            f"dt = {dt:g} exceeds the stability bound "
-            f"{stability_dt(spec, fld.grid):g}")
-    u = fld.values
-    rhs = _diffusion(u, spec, fld.grid.h)
-    if reaction:
-        rhs += np.polyval(spec.reaction.poly.coef[::-1], u) / spec.epsilon**2
-    new = u + dt * rhs
-    if not np.isfinite(new).all():
-        raise Blowup(f"non-finite value at t = {fld.t + dt:g}")
-    return ScalarField(fld.grid, new, fld.t + dt)
+    stepper = _Stepper(fld, spec, reaction=reaction)
+    stepper.advance(dt)
+    return ScalarField(fld.grid, stepper.u, stepper.t)
 
 
 def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
@@ -137,20 +212,19 @@ def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
     if t_end < 0.0:
         raise ConfigError("t_end must be nonnegative")
     if not np.isfinite(u0.values).all():
-        raise Blowup("initial data is not finite")
+        raise Blowup(f"initial data is not finite (eps = {spec.epsilon:g}, "
+                     f"grid n = {u0.grid.n})")
     targets = sorted(set(float(s) for s in (snapshot_times or [])) | {float(t_end)})
     if targets[0] < 0.0 or targets[-1] > t_end:
         raise ConfigError("snapshot times must lie in [0, t_end]")
 
-    dt0 = stability_dt(spec, u0.grid)
+    stepper = _Stepper(u0, spec, reaction=reaction)
     out = []
-    cur = u0.copy()
     for target in targets:
-        while cur.t < target - 1e-14:
-            dt = min(dt0, target - cur.t)
-            cur = step(cur, spec, dt, reaction=reaction)
-        cur.t = target
-        out.append(cur.copy())
+        while stepper.t < target - 1e-14:
+            stepper.advance(min(stepper.dt_max, target - stepper.t))
+        stepper.t = target
+        out.append(stepper.field())
     return out
 
 
@@ -170,15 +244,15 @@ def ordering_check(u_low: ScalarField, u_high: ScalarField, spec: ModelSpec,
     violation = float(np.max(u_low.values - u_high.values))
     if violation > 0.0:
         raise ConfigError("u_low must not exceed u_high initially")
-    dt0 = stability_dt(spec, u_low.grid)
-    lo, hi = u_low.copy(), u_high.copy()
+    lo = _Stepper(u_low, spec)
+    hi = _Stepper(u_high, spec)
     t = 0.0
     while t < t_end - 1e-14:
-        dt = min(dt0, t_end - t)
-        lo = step(lo, spec, dt)
-        hi = step(hi, spec, dt)
+        dt = min(lo.dt_max, t_end - t)
+        lo.advance(dt)
+        hi.advance(dt)
         t += dt
-        violation = max(violation, float(np.max(lo.values - hi.values)))
+        violation = max(violation, float(np.max(lo.u - hi.u)))
     return violation <= tol, violation
 
 

@@ -12,6 +12,7 @@ Vertices are stored unwrapped (continuous coordinates, possibly outside
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -217,20 +218,27 @@ def _orient(p, q, r):
         - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
 
 
+@lru_cache(maxsize=8)
+def _nonadjacent_pairs(m: int) -> np.ndarray:
+    """Mask of segment pairs i < j that share no vertex on an m-segment loop."""
+    idx = np.arange(m)
+    gap = idx[None, :] - idx[:, None]
+    mask = (gap > 1) & (gap < m - 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def is_simple(curve: FrontCurve) -> bool:
     """Segment-pair intersection test (unwrapped coords, bbox prefilter)."""
     loop = curve.closed_loop()
     a = loop[:-1]
     b = loop[1:]
-    m = len(a)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     overlap = ((lo[:, None, 0] <= hi[None, :, 0]) & (hi[:, None, 0] >= lo[None, :, 0])
                & (lo[:, None, 1] <= hi[None, :, 1]) & (hi[:, None, 1] >= lo[None, :, 1]))
-    idx = np.arange(m)
-    adjacent = (np.abs(idx[:, None] - idx[None, :]) <= 1) \
-        | (np.abs(idx[:, None] - idx[None, :]) == m - 1)
-    cand = np.argwhere(np.triu(overlap & ~adjacent, 1))
+    overlap &= _nonadjacent_pairs(len(a))
+    cand = np.argwhere(overlap)
     for i, j in cand:
         d1 = _orient(a[i], b[i], a[j])
         d2 = _orient(a[i], b[i], b[j])

@@ -68,14 +68,16 @@ def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float,
     Each substep satisfies dt_sub <= cfl * (min spacing)^2 / max(tau.mu.tau)
     (the spline curvature operator is stiffer than a 3-point stencil, hence
     the margin below 1/6); redistribution to near-uniform arclength and the
-    topology checks run once per outer step.
+    topology checks run once per outer step. The returned curve carries its
+    normals and curvature, which the next step's first substep reuses.
     """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
     cur = curve
     remaining = dt
     while remaining > 1e-18:
-        cur = geometry(cur, checked=False)
+        if cur.normals is None or cur.curvature is None:
+            cur = geometry(cur, checked=False)
         seg = np.linalg.norm(np.diff(cur.closed_loop(), axis=0), axis=1)
         weights = _tangential_weights(mobility, cur.normals)
         wmax = float(np.abs(weights).max())
@@ -94,7 +96,7 @@ def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float,
             f"front area {enclosed_area(cur):.3e} below the resolvable minimum")
     if not is_simple(cur):
         raise SelfIntersection("front crossed itself (topology change)")
-    return geometry(cur)
+    return geometry(cur, checked=False)
 
 
 def evolve_front(curve: FrontCurve, mobility: MobilityTensor, t_end: float,
@@ -307,8 +309,15 @@ def step_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
         raise GradientDegeneracy("|grad d| < 0.5 inside the narrow band")
 
     table, dtheta = mobility.mu_lookup()
-    idx = (np.arctan2(gy, gx) % (2.0 * np.pi) / dtheta).astype(int) % len(table)
-    mu = table[idx]                                 # (n, n, 2, 2)
+    theta = np.arctan2(gy, gx)
+    np.mod(theta, 2.0 * np.pi, out=theta)
+    theta /= dtheta
+    idx = theta.astype(int)
+    idx %= len(table)
+    # one flat gather per entry is several times cheaper than gathering the
+    # (n, n, 2, 2) block array
+    m00, m01, m10, m11 = (np.take(table[:, i, j], idx)
+                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
 
     inv_h2 = 1.0 / (h * h)
     dxx = (dxp - 2.0 * d + dxm) * inv_h2
@@ -322,10 +331,9 @@ def step_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
     nx, ny = gx / safe, gy / safe
     hn_x = dxx * nx + dxy * ny
     hn_y = dxy * nx + dyy * ny
-    rhs = (mu[..., 0, 0] * dxx + (mu[..., 0, 1] + mu[..., 1, 0]) * dxy
-           + mu[..., 1, 1] * dyy
-           - hn_x * (mu[..., 0, 0] * nx + mu[..., 0, 1] * ny)
-           - hn_y * (mu[..., 1, 0] * nx + mu[..., 1, 1] * ny))
+    rhs = (m00 * dxx + (m01 + m10) * dxy + m11 * dyy
+           - hn_x * (m00 * nx + m01 * ny)
+           - hn_y * (m10 * nx + m11 * ny))
     new = d + dt * np.where(ok, rhs, 0.0)
     if not np.isfinite(new).all():
         raise Blowup("level-set update produced non-finite values")

@@ -274,8 +274,12 @@ def generation_experiment(cfg: ExperimentConfig) -> GenerationReport:
 def tanh_ansatz_field(grid: Grid, spec: ModelSpec, table: ProfileTable,
                       curve: FrontCurve) -> ScalarField:
     """Composed initial data u0(x) = U0(d(x)/eps; n(x)) via the profile table."""
-    sdf = signed_distance(curve, grid)
-    d = sdf.values
+    return _tanh_ansatz(grid, spec, table, signed_distance(curve, grid).values)
+
+
+def _tanh_ansatz(grid: Grid, spec: ModelSpec, table: ProfileTable,
+                 d: np.ndarray) -> ScalarField:
+    """tanh_ansatz_field from the signed distance d of the curve."""
     h = grid.h
     gx = (np.roll(d, -1, 0) - np.roll(d, 1, 0)) / (2 * h)
     gy = (np.roll(d, -1, 1) - np.roll(d, 1, 1)) / (2 * h)
@@ -329,11 +333,17 @@ def propagation_sweep(cfg: ExperimentConfig,
     fronts = dict(front_history)
 
     table = ProfileTable.build(spec0, m_angles=64)
+    # signed distances of gamma0 and of the final front, per grid size:
+    # several eps may share a grid
+    d0, d_end = {}, {}
     rows = []
     for eps in cfg.eps_list:
         spec = spec0.with_epsilon(eps)
         grid = Grid(cfg.grid_size_for(eps))
-        u0 = tanh_ansatz_field(grid, spec, table, gamma0)
+        if grid.n not in d0:
+            d0[grid.n] = signed_distance(gamma0, grid).values
+            d_end[grid.n] = signed_distance(fronts[cfg.t_end], grid).values
+        u0 = _tanh_ansatz(grid, spec, table, d0[grid.n])
         snaps = simulate(u0, spec, cfg.t_end, snapshot_times=cfg.checkpoints)
         dists = []
         for snap, t in zip(snaps, sorted(set(cfg.checkpoints) | {cfg.t_end})):
@@ -344,7 +354,7 @@ def propagation_sweep(cfg: ExperimentConfig,
         bounds_ok = (u_min >= r.alpha_minus - cfg.eta_p - 1e-12
                      and u_max <= r.alpha_plus + cfg.eta_p + 1e-12)
 
-        dref = signed_distance(fronts[cfg.t_end], grid).values
+        dref = d_end[grid.n]
         viol = np.where(
             dref >= 0.0,
             np.abs(final.values - r.alpha_plus) > cfg.eta_p,

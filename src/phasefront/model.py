@@ -189,11 +189,6 @@ class DiffusivitySpec:
                 out[i, j] = self.entries[i][j].deriv()(s)
         return out
 
-    @property
-    def is_constant(self) -> bool:
-        return all(p.degree() == 0 or np.allclose(p.coef[1:], 0.0)
-                   for row in self.entries for p in row)
-
     def eig_bounds(self, lo: float, hi: float, n_samples: int = 1024):
         """Sampled (min, max) eigenvalues of D(s) over [lo, hi]."""
         s = np.linspace(lo, hi, n_samples)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from phasefront import errors
+from phasefront import acsolver, errors
 from phasefront.acsolver import (
     Grid,
     ScalarField,
@@ -21,7 +23,25 @@ from phasefront.model import (
     cubic_reaction,
     diagonal_diffusivity,
     polynomial_diffusivity,
+    rotated_diagonal_diffusivity,
 )
+
+
+def _roll_step(u, spec, dt, h):
+    """Reference forward-Euler step of the face-averaged scheme, by np.roll."""
+    d = spec.diffusivity
+    uxp, uxm = np.roll(u, -1, 0), np.roll(u, 1, 0)
+    uyp, uym = np.roll(u, -1, 1), np.roll(u, 1, 1)
+    flux_x = d.entry(0, 0)(0.5 * (u + uxp)) * (uxp - u)
+    flux_y = d.entry(1, 1)(0.5 * (u + uyp)) * (uyp - u)
+    rhs = (flux_x - np.roll(flux_x, 1, 0) + flux_y - np.roll(flux_y, 1, 1)) / h**2
+    d12 = d.entry(0, 1)(u)
+    gx = d12 * (uyp - uym)
+    gy = d12 * (uxp - uxm)
+    rhs += (np.roll(gx, -1, 0) - np.roll(gx, 1, 0)
+            + np.roll(gy, -1, 1) - np.roll(gy, 1, 1)) / (4 * h**2)
+    rhs += spec.reaction.f(u) / spec.epsilon**2
+    return u + dt * rhs
 
 
 def test_grid_power_of_two():
@@ -48,8 +68,69 @@ def test_step_requires_stable_dt():
     spec = cubic_identity_model(0.02)
     g = Grid(64)
     fld = trig_product_field(g)
-    with pytest.raises(errors.CFLViolated):
+    with pytest.raises(errors.CFLViolated,
+                       match=r"at t = 0, step 1, eps = 0\.02, grid n = 64"):
         step(fld, spec, 10 * stability_dt(spec, g))
+
+
+@pytest.mark.parametrize("diffusivity", [
+    diagonal_diffusivity([1.0, 1.0]),
+    rotated_diagonal_diffusivity(0.4, [1.0, 2.5]),
+    polynomial_diffusivity([[[1.0, 0.0, 0.2], [0.3, 0.1, 0.05]],
+                            [[0.3, 0.1, 0.05], [1.5, 0.0, -0.1]]]),
+], ids=["identity", "rotated-constant", "polynomial-cross"])
+def test_step_matches_roll_reference(diffusivity):
+    spec = ModelSpec(cubic_reaction(), diffusivity, 0.05)
+    g = Grid(32)
+    fld = random_smooth_field(g, np.random.default_rng(6), amplitude=0.9)
+    dt = stability_dt(spec, g)
+    cur, ref = fld, fld.values
+    for _ in range(200):
+        cur = step(cur, spec, dt)
+        ref = _roll_step(ref, spec, dt, g.h)
+    assert np.abs(cur.values - ref).max() <= 1e-13
+
+
+def test_simulate_computes_stability_bound_once(monkeypatch):
+    real = acsolver.stability_dt
+    calls = []
+
+    def counting(spec, grid):
+        calls.append(grid.n)
+        return real(spec, grid)
+
+    monkeypatch.setattr(acsolver, "stability_dt", counting)
+    spec = cubic_identity_model(0.05)
+    g = Grid(16)
+    t_end = 50 * real(spec, g)
+    snaps = simulate(trig_product_field(g), spec, t_end, snapshot_times=[0.5 * t_end])
+    assert len(snaps) == 2
+    assert calls == [16]
+
+
+def test_blowup_names_where_it_fired():
+    spec = cubic_identity_model(0.05)
+    g = Grid(16)
+    dt = stability_dt(spec, g)
+    u0 = np.zeros((16, 16))
+    u0[3, 5] = 1e30
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref, first_bad = u0, None
+        for k in range(1, 20):
+            ref = _roll_step(ref, spec, dt, g.h)
+            if not np.isfinite(ref).all():
+                first_bad = k
+                break
+        assert first_bad is not None and first_bad > 1
+        with pytest.raises(errors.Blowup) as info:
+            simulate(ScalarField(g, u0), spec, 20 * dt)
+    m = re.search(r"t = (\S+), step (\d+), eps = (\S+), grid n = (\d+)",
+                  str(info.value))
+    assert m, str(info.value)
+    assert int(m.group(2)) == first_bad
+    assert float(m.group(1)) == pytest.approx(first_bad * dt, rel=1e-5)
+    assert float(m.group(3)) == 0.05
+    assert int(m.group(4)) == 16
 
 
 def test_constant_equilibria_are_fixed_points():
