@@ -77,7 +77,6 @@ class ExperimentConfig:
     eta_g: float
     eta_p: float
     m0_ceiling: float
-    seed: int
     out_dir: str | None = None
     markers: int = field(default=512)
 
@@ -133,7 +132,6 @@ def experiment_from_dict(cfg: dict) -> ExperimentConfig:
     m0_ceiling = float(tol.pop("m0_ceiling", 10.0))
     if tol:
         raise ConfigError(f"unknown tol fields: {sorted(tol)}")
-    seed = int(take("seed", 0))
     out_dir = take("out", None)
     markers = int(take("markers", 512))
     if cfg:
@@ -141,7 +139,7 @@ def experiment_from_dict(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(model=model, model_cfg=model_cfg, grid_n=grid_n,
                             eps_list=eps_list, shape=shape, t_end=t_end,
                             checkpoints=checkpoints, eta_g=eta_g, eta_p=eta_p,
-                            m0_ceiling=m0_ceiling, seed=seed, out_dir=out_dir,
+                            m0_ceiling=m0_ceiling, out_dir=out_dir,
                             markers=markers)
 
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateCurve, OpenContour
 
@@ -251,28 +253,58 @@ def is_simple(curve: FrontCurve) -> bool:
     return True
 
 
-_OFFSETS = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+# points per block of candidate pairs; bounds the flat candidate arrays
+_CHUNK = 4096
 
 
-def points_to_curve_distance(points: np.ndarray, curve: FrontCurve,
-                             chunk: int = 4096) -> np.ndarray:
-    """Torus distance from each point to the closed polyline (min-image)."""
-    pts = np.mod(np.asarray(points, dtype=float), 1.0)
-    loop = np.mod(curve.closed_loop(), 1.0)
-    a = loop[:-1]
-    d = curve.closed_loop()[1:] - curve.closed_loop()[:-1]   # true segment vectors
-    seg_len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
+def _wrap(x: np.ndarray) -> np.ndarray:
+    """Coordinates mod 1, strictly inside [0, 1) (mod of -tiny rounds to 1.0)."""
+    out = np.mod(x, 1.0)
+    out[out >= 1.0] = 0.0
+    return out
+
+
+def points_to_curve_distance(points: np.ndarray, curve: FrontCurve) -> np.ndarray:
+    """Exact torus distance from each point to the closed polyline.
+
+    A periodic k-d tree over the vertices gives each point its nearest vertex
+    at distance r0. The closest point of the curve lies on some segment within
+    half that segment's length of one of its endpoints, so every vertex that
+    can own it lies within r0 + Lmax/2 (Lmax the longest segment). Exact
+    point-to-segment distances to the two segments leaving each such vertex,
+    taken from the image of the point nearest that vertex, give the minimum;
+    that image is the one nearest the curve wherever the distance is below
+    0.5 - Lmax/2.
+    """
+    pts = _wrap(np.asarray(points, dtype=float))
+    loop = curve.closed_loop()
+    verts = _wrap(loop[:-1])
+    d = np.diff(loop, axis=0)                      # true segment vectors
+    # segment k leaves vertex k along +d[k]; vertex k also starts the
+    # segment back to vertex k-1, along -d[k-1]
+    legs = np.stack([d, -np.roll(d, 1, axis=0)], axis=1)          # (m, 2, 2)
+    leg_len2 = np.maximum(np.einsum("vlk,vlk->vl", legs, legs), 1e-300)
+    reach = 0.5 * float(np.sqrt(leg_len2.max()))
+    tree = cKDTree(verts, boxsize=1.0)
+    r0, _ = tree.query(pts)
     out = np.empty(len(pts))
-    for s in range(0, len(pts), chunk):
-        p = pts[s:s + chunk]
+    for s in range(0, len(pts), _CHUNK):
+        p = pts[s:s + _CHUNK]
+        near = tree.query_ball_point(p, r0[s:s + _CHUNK] + reach)
+        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+        cand = np.fromiter(chain.from_iterable(near), dtype=np.intp,
+                           count=int(counts.sum()))
+        owner = np.repeat(np.arange(len(p)), counts)
+        rel = p[owner] - verts[cand]
+        rel -= np.round(rel)                       # image nearest the vertex
+        leg = legs[cand]                           # (c, 2, 2)
+        tpar = np.einsum("ck,clk->cl", rel, leg) / leg_len2[cand]
+        np.clip(tpar, 0.0, 1.0, out=tpar)
+        diff = rel[:, None, :] - tpar[..., None] * leg
+        dist2 = np.einsum("clk,clk->cl", diff, diff).min(axis=1)
         best = np.full(len(p), np.inf)
-        for off in _OFFSETS:
-            rel = p[:, None, :] - (a[None, :, :] + off)      # (np, ns, 2)
-            tpar = np.clip(np.einsum("psk,sk->ps", rel, d) / seg_len2, 0.0, 1.0)
-            diff = rel - tpar[..., None] * d[None, :, :]
-            dist2 = np.einsum("psk,psk->ps", diff, diff)
-            best = np.minimum(best, dist2.min(axis=1))
-        out[s:s + chunk] = np.sqrt(best)
+        np.minimum.at(best, owner, dist2)
+        out[s:s + _CHUNK] = np.sqrt(best)
     return out
 
 

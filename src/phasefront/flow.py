@@ -4,7 +4,9 @@ Both solvers realize the same law: the front moves with normal velocity
 V_n = -kappa * (tau . mu(n) tau), which is the planar contraction of the
 mobility tensor against the distance Hessian (the Hessian of a signed
 distance restricted to the curve equals kappa tau tau^T). The level-set
-route instead advances the signed distance field with
+route instead starts from the signed torus distance to the front, exact at
+every cell centre (``curves.points_to_curve_distance``, a periodic k-d tree
+query), and advances it with
 
     d_t = sum_ij mu_ij(grad d / |grad d|) d_{x_i x_j},
 
@@ -13,7 +15,6 @@ reinitializing periodically so |grad d| stays near one in the band.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -164,82 +165,17 @@ def _inside_mask(curve: FrontCurve, grid: Grid) -> np.ndarray:
     return inside
 
 
-def _band_cells(curve: FrontCurve, grid: Grid, band: float) -> np.ndarray:
-    """Mask of cells within (roughly) the band radius of some segment bbox."""
-    n, h = grid.n, grid.h
-    mask = np.zeros((n, n), dtype=bool)
-    loop = curve.closed_loop()
-    pad = band + h
-    for a, b in zip(loop[:-1], loop[1:]):
-        lo = np.minimum(a, b) - pad
-        hi = np.maximum(a, b) + pad
-        i0 = int(np.floor((lo[0] - 0.5 * h) / h))
-        i1 = int(np.ceil((hi[0] - 0.5 * h) / h))
-        j0 = int(np.floor((lo[1] - 0.5 * h) / h))
-        j1 = int(np.ceil((hi[1] - 0.5 * h) / h))
-        ii = np.arange(i0, i1 + 1) % n
-        jj = np.arange(j0, j1 + 1) % n
-        mask[np.ix_(ii, jj)] = True
-    return mask
-
-
-def _fast_march(dist: np.ndarray, known: np.ndarray, h: float) -> np.ndarray:
-    """First-order periodic fast marching from the known cells outward."""
-    n0, n1 = dist.shape
-    d = np.where(known, dist, np.inf)
-    status = known.copy()
-
-    def solve(i, j):
-        dx = min(d[(i - 1) % n0, j], d[(i + 1) % n0, j])
-        dy = min(d[i, (j - 1) % n1], d[i, (j + 1) % n1])
-        if np.isinf(dx) and np.isinf(dy):
-            return np.inf
-        if np.isinf(dx) or np.isinf(dy) or abs(dx - dy) >= h:
-            return min(dx, dy) + h
-        return 0.5 * (dx + dy + np.sqrt(2.0 * h * h - (dx - dy) ** 2))
-
-    heap = []
-    ki, kj = np.nonzero(known)
-    seeds = set()
-    for i, j in zip(ki, kj):
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ii, jj = (i + di) % n0, (j + dj) % n1
-            if not status[ii, jj]:
-                seeds.add((ii, jj))
-    for i, j in seeds:
-        heapq.heappush(heap, (solve(i, j), i, j))
-    while heap:
-        val, i, j = heapq.heappop(heap)
-        if status[i, j]:
-            continue
-        status[i, j] = True
-        d[i, j] = val
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ii, jj = (i + di) % n0, (j + dj) % n1
-            if not status[ii, jj]:
-                heapq.heappush(heap, (solve(ii, jj), ii, jj))
-    return d
-
-
-def signed_distance(curve: FrontCurve, grid: Grid,
-                    band_factor: float = 8.0) -> SignedDistanceField:
-    """Exact point-to-segment distances in the band, fast marching beyond.
+def signed_distance(curve: FrontCurve, grid: Grid) -> SignedDistanceField:
+    """Exact torus distance from every cell centre to the front, signed by side.
 
     The sign follows the curve orientation: positive on the high-phase side
     (the geometric interior is the low-phase side for a standard front).
     """
     if curve.n_vertices < 3 or not is_simple(curve):
         raise DegenerateCurve("need a simple closed curve")
-    n, h = grid.n, grid.h
-    band = band_factor * h
-    bmask = _band_cells(curve, grid, band)
     x, y = grid.cell_centers()
-    pts = np.stack([x[bmask], y[bmask]], axis=1)
-    dist = np.full((n, n), np.inf)
-    dist[bmask] = points_to_curve_distance(pts, curve)
-    known = bmask & (dist <= band)
-    dist = _fast_march(dist, known, h)
-
+    dist = points_to_curve_distance(np.stack([x.ravel(), y.ravel()], axis=1),
+                                    curve).reshape(x.shape)
     inside = _inside_mask(curve, grid)
     interior_sign = -1.0 if enclosed_area(curve) > 0.0 else 1.0
     values = np.where(inside, interior_sign * dist, -interior_sign * dist)

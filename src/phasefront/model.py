@@ -8,12 +8,10 @@ parameter s, so the section functions
     A_e(s) = int_{a-}^{s} a_e,
     W_e(s) = -2 int_{a-}^{s} a_e f,
 
-and their e-gradients have exact polynomial representations. The public
-``big_a_e``/``w_e``/``grad_e_w`` operations evaluate the integrals with
-adaptive Gauss-Kronrod quadrature; :class:`DirectionSection` carries the
-polynomial forms used by the profile and mobility hot paths, including the
-deflated ratios that make the endpoint behaviour of the mobility integrands
-numerically benign.
+and their e-gradients have exact polynomial representations.
+:class:`DirectionSection` carries these forms, including the deflated ratios
+that make the endpoint behaviour of the mobility integrands numerically
+benign; the public ``big_a_e``/``w_e``/``grad_e_w`` operations evaluate them.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .errors import (
     NotElliptic,
     NotUnit,
 )
-from .quadrature import quad_gk
 
 _UNIT_TOL = 1e-9
 
@@ -392,7 +389,7 @@ def ensure_valid(spec: ModelSpec, tol: float = 1e-8) -> None:
 
 
 # ---------------------------------------------------------------------------
-# section functions (public quadrature surfaces)
+# section functions
 # ---------------------------------------------------------------------------
 
 def a_e(spec: ModelSpec, e, s):
@@ -407,19 +404,19 @@ def a_e(spec: ModelSpec, e, s):
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
-def big_a_e(spec: ModelSpec, e, s: float, tol: float = 1e-10) -> float:
-    """A_e(s): integral of a_e from alpha_minus, by Gauss-Kronrod."""
-    e = check_unit(e)
+def big_a_e(spec: ModelSpec, e, s: float) -> float:
+    """A_e(s): integral of a_e from alpha_minus, exact."""
     sec = DirectionSection(spec, e, check=False)
-    return quad_gk(lambda t: sec.a(t), spec.reaction.alpha_minus, float(s), tol)
+    return float(_integ_from(sec.a_poly, spec.reaction.alpha_minus)(s))
 
 
 def w_e(spec: ModelSpec, e, s: float, tol: float = 1e-10) -> float:
-    """W_e(s) = -2 int a_e f from alpha_minus, by Gauss-Kronrod."""
-    e = check_unit(e)
+    """W_e(s) = -2 int a_e f from alpha_minus, exact.
+
+    Raises NegativeW if W_e(s) < -tol for s strictly between the wells.
+    """
     r = spec.reaction
-    sec = DirectionSection(spec, e, check=False)
-    val = -2.0 * quad_gk(lambda t: sec.a(t) * r.f(t), r.alpha_minus, float(s), tol)
+    val = float(DirectionSection(spec, e, check=False).w(s))
     if r.alpha_minus < s < r.alpha_plus and val < -tol:
         raise NegativeW(f"W_e({s}) = {val:.3e} < 0 inside the well interval")
     return val
@@ -437,20 +434,10 @@ def grad_e_a(spec: ModelSpec, e, s):
     return out if s_arr.ndim else out.reshape(d.dim)
 
 
-def grad_e_w(spec: ModelSpec, e, s: float, tol: float = 1e-10) -> np.ndarray:
-    """Ambient gradient of W_e at s: -2 int grad_e_a * f, by quadrature."""
-    e = check_unit(e)
-    r = spec.reaction
-    d = spec.diffusivity
-    out = np.empty(d.dim)
-    for i in range(d.dim):
-        def integrand(t, i=i):
-            g = 0.0
-            for j in range(d.dim):
-                g += 2.0 * e[j] * d.entry(i, j)(t)
-            return g * r.f(t)
-        out[i] = -2.0 * quad_gk(integrand, r.alpha_minus, float(s), tol)
-    return out
+def grad_e_w(spec: ModelSpec, e, s: float) -> np.ndarray:
+    """Ambient gradient of W_e at s: -2 int grad_e_a * f, exact."""
+    sec = DirectionSection(spec, e, check=False)
+    return np.array([float(g(s)) for g in sec.grad_w_polys])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Quadrature helpers shared by the model/mobility modules.
+"""Quadrature helpers for the mobility and profile modules.
 
-Two routes are provided: a Gauss-Kronrod wrapper around QUADPACK for the
-scalar model operations, and an order-doubling Gauss-Legendre scheme for the
-vectorized mobility integrands (which are smooth after endpoint deflation).
+An order-doubling Gauss-Legendre scheme integrates the vectorized mobility
+integrands (which are smooth after endpoint deflation), and a cumulative
+trapezoid rule integrates sampled profiles. The model's section functions are
+polynomial and need no quadrature.
 """
 
 from __future__ import annotations
@@ -10,25 +11,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureFailure
 
 ABS_TOL = 1e-10
-
-
-def quad_gk(f, a: float, b: float, tol: float = ABS_TOL) -> float:
-    """Adaptive Gauss-Kronrod integral of a scalar callable on [a, b]."""
-    if a == b:
-        return 0.0
-    value, abserr, info, *rest = quad(f, a, b, epsabs=tol, epsrel=1e-12,
-                                      full_output=True)
-    if rest:  # quad appends an explanation message on failure
-        raise QuadratureFailure(f"quadrature did not converge on [{a}, {b}]: {rest[0]}")
-    if abserr > max(tol, 1e-10 * abs(value)) * 1e3:
-        raise QuadratureFailure(
-            f"quadrature error estimate {abserr:.3e} too large on [{a}, {b}]")
-    return value
 
 
 @lru_cache(maxsize=32)

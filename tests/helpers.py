@@ -1,7 +1,10 @@
 """Shared oracle helpers for the test suite."""
 
 import numpy as np
+from scipy.integrate import quad
 
+from phasefront.curves import FrontCurve
+from phasefront.errors import QuadratureFailure
 from phasefront.model import (
     ModelSpec,
     cubic_reaction,
@@ -43,3 +46,45 @@ def constant_d_mu_oracle(dmat: np.ndarray, e) -> np.ndarray:
     proj = np.eye(len(e)) - np.outer(e, e)
     g = proj @ (dmat @ e) / np.sqrt(a)
     return dmat - np.outer(g, g)
+
+
+def quad_gk(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Adaptive Gauss-Kronrod (QUADPACK) integral of a scalar callable on [a, b]."""
+    if a == b:
+        return 0.0
+    value, abserr, info, *rest = quad(f, a, b, epsabs=tol, epsrel=1e-12,
+                                      full_output=True)
+    if rest:  # quad appends an explanation message on failure
+        raise QuadratureFailure(f"quadrature did not converge on [{a}, {b}]: {rest[0]}")
+    if abserr > max(tol, 1e-10 * abs(value)) * 1e3:
+        raise QuadratureFailure(
+            f"quadrature error estimate {abserr:.3e} too large on [{a}, {b}]")
+    return value
+
+
+_OFFSETS = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+
+
+def brute_force_curve_distance(points: np.ndarray, curve: FrontCurve,
+                               chunk: int = 4096) -> np.ndarray:
+    """Torus distance from each point to the closed polyline (min-image).
+
+    Every point against every segment in all nine neighbouring images.
+    """
+    pts = np.mod(np.asarray(points, dtype=float), 1.0)
+    loop = np.mod(curve.closed_loop(), 1.0)
+    a = loop[:-1]
+    d = curve.closed_loop()[1:] - curve.closed_loop()[:-1]   # true segment vectors
+    seg_len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
+    out = np.empty(len(pts))
+    for s in range(0, len(pts), chunk):
+        p = pts[s:s + chunk]
+        best = np.full(len(p), np.inf)
+        for off in _OFFSETS:
+            rel = p[:, None, :] - (a[None, :, :] + off)      # (np, ns, 2)
+            tpar = np.clip(np.einsum("psk,sk->ps", rel, d) / seg_len2, 0.0, 1.0)
+            diff = rel - tpar[..., None] * d[None, :, :]
+            dist2 = np.einsum("psk,psk->ps", diff, diff)
+            best = np.minimum(best, dist2.min(axis=1))
+        out[s:s + chunk] = np.sqrt(best)
+    return out

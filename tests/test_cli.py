@@ -120,7 +120,7 @@ def test_generation_cli_and_determinism(tmp_path, capsys):
         "shape": {"kind": "trig", "params": {"amplitude": 0.5}},
         "times": {"t_end": 0.005}, "tol": {"eta_g": 0.1, "eta_p": 0.1,
                                            "m0_ceiling": 10},
-        "seed": 0, "out": str(tmp_path / "g1")}))
+        "out": str(tmp_path / "g1")}))
     assert cli_main(["generation", "--config", str(cfg)]) == 0
     assert cli_main(["generation", "--config", str(cfg), "--out",
                      str(tmp_path / "g2")]) == 0
@@ -136,7 +136,7 @@ def test_converge_cli(tmp_path, capsys):
         "shape": {"kind": "circle", "params": {"r": 0.25}},
         "times": {"t_end": 0.001, "checkpoints": [0.001]},
         "tol": {"eta_g": 0.1, "eta_p": 0.1, "m0_ceiling": 10},
-        "seed": 0, "out": str(tmp_path / "c1")}))
+        "out": str(tmp_path / "c1")}))
     assert cli_main(["converge", "--config", str(cfg)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["order"] is None and payload["passed"] is True

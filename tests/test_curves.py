@@ -1,19 +1,37 @@
 import numpy as np
 import pytest
 
+from helpers import brute_force_curve_distance
+
 from phasefront import errors
+from phasefront.acsolver import Grid
 from phasefront.curves import (
     circle_curve,
     curve_from_points,
     curve_length,
+    ellipse_curve,
     enclosed_area,
     hausdorff,
     is_simple,
     marching_squares,
+    points_to_curve_distance,
     resample,
     translate_curve,
     turning_number,
 )
+
+
+@pytest.mark.parametrize("curve", [
+    ellipse_curve((0.52, 0.47), 0.25, 0.17, 256),   # benchmark-style front
+    circle_curve((0.5, 0.5), 0.05, 64),             # far field beyond 0.5 - Lmax
+    circle_curve((0.1, 0.9), 0.03, 64),             # across both seams
+    circle_curve((0.0, 0.0), 0.2, 128),             # mod 1 of -tiny x rounds to 1.0
+], ids=["ellipse", "small-circle", "seam-circle", "origin-circle"])
+def test_distance_kernel_matches_nine_image_brute_force(curve):
+    x, y = Grid(128).cell_centers()
+    pts = np.stack([x.ravel(), y.ravel()], axis=1)
+    exact = brute_force_curve_distance(pts, curve)
+    assert np.abs(points_to_curve_distance(pts, curve) - exact).max() <= 1e-14
 
 
 def test_hausdorff_identical_is_zero():

@@ -38,7 +38,6 @@ def _experiment(**overrides):
         "shape": {"kind": "trig", "params": {"amplitude": 0.5}},
         "times": {"t_end": 0.005, "checkpoints": [0.005]},
         "tol": {"eta_g": 0.1, "eta_p": 0.1, "m0_ceiling": 10},
-        "seed": 0,
     }
     cfg.update(overrides)
     return experiment_from_dict(cfg)
@@ -109,6 +108,8 @@ def test_config_validation():
         _experiment(tol={"eta_g": 1.5, "eta_p": 0.1, "m0_ceiling": 10})
     with pytest.raises(errors.ConfigError):
         _experiment(unknown_field=1)
+    with pytest.raises(errors.ConfigError, match="unknown config fields"):
+        _experiment(seed=0)
     with pytest.raises(errors.ConfigError):
         _experiment(times={"t_end": 0.005, "bogus": 1})
     cfg = _experiment()

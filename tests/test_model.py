@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from helpers import quad_gk
+
 from phasefront import errors
 from phasefront.model import (
     DirectionSection,
@@ -150,14 +152,16 @@ def test_a_e_within_ellipticity_bounds():
 
 
 def test_w_two_quadrature_routes_agree():
-    # QUADPACK route of w_e against the exact polynomial antiderivative
+    # exact polynomial w_e against an independent QUADPACK integral of -2 a_e f
     rng = np.random.default_rng(3)
     for spec in _sample_specs():
         e = rng.normal(size=2)
         e /= np.linalg.norm(e)
-        sec = DirectionSection(spec, e)
+        r = spec.reaction
         for s in rng.uniform(-1.0, 1.0, size=6):
-            assert w_e(spec, e, float(s)) == pytest.approx(float(sec.w(s)), abs=1e-9)
+            gk = -2.0 * quad_gk(lambda t: a_e(spec, e, t) * r.f(t),
+                                r.alpha_minus, float(s))
+            assert w_e(spec, e, float(s)) == pytest.approx(gk, abs=1e-9)
 
 
 def _sphere_fd(fn, e, h=1e-5):
