@@ -142,46 +142,39 @@ def turning_number(curve: FrontCurve) -> float:
     return float(np.sum(turns) / (2.0 * np.pi))
 
 
-def _chord_spline(curve: FrontCurve):
+def _chord_fit(curve: FrontCurve):
+    """Periodic chord-length spline of a closed curve less its winding ramp.
+
+    Returns (spline, t, w): the curve at chord parameter s in [0, t[-1]] is
+    spline(s) + (s / t[-1]) w with w = curve.wraps, so the periodic spline
+    sees matched endpoints on wrapping contours too; w = 0 when contractible.
+    """
     loop = curve.closed_loop()
-    if np.any(np.all(np.abs(np.diff(loop, axis=0)) < 1e-15, axis=1)):
+    step = np.diff(loop, axis=0)
+    if np.any(np.all(np.abs(step) < 1e-15, axis=1)):
         raise DegenerateCurve("repeated consecutive vertices")
-    chord = np.linalg.norm(np.diff(loop, axis=0), axis=1)
-    t = np.concatenate([[0.0], np.cumsum(chord)])
-    closing = loop[-1] - loop[0]
-    if np.abs(closing).max() > 1e-12:
-        # periodic spline needs exact closure; wraps handled by the caller
-        loop = loop.copy()
-        loop[-1] = loop[0]
-        spline = CubicSpline(t, loop, bc_type="periodic", axis=0)
-        return spline, t, True
-    return CubicSpline(t, loop, bc_type="periodic", axis=0), t, False
+    t = np.concatenate([[0.0], np.cumsum(np.linalg.norm(step, axis=1))])
+    w = np.asarray(curve.wraps, dtype=float)
+    spline = CubicSpline(t, loop - np.outer(t / t[-1], w), bc_type="periodic",
+                         axis=0)
+    return spline, t, w
 
 
 def geometry(curve: FrontCurve, checked: bool = True) -> FrontCurve:
-    """Fill unit outward normals and curvature via a periodic spline fit.
+    """Fill unit outward normals and curvature from the periodic chord fit.
 
-    ``checked=False`` skips the simplicity test (inner-loop use; callers run
-    the topology checks at their own cadence).
+    Contractible and wrapping curves share one fit (``_chord_fit``); repeated
+    consecutive vertices raise ``DegenerateCurve``. ``checked=False`` skips
+    the simplicity test (inner-loop use; callers run the topology checks at
+    their own cadence).
     """
     if curve.n_vertices < 8:
         raise DegenerateCurve(f"need >= 8 vertices, have {curve.n_vertices}")
     if checked and not is_simple(curve):
         raise DegenerateCurve("curve is self-intersecting")
-    if curve.is_contractible:
-        spline, t, _ = _chord_spline(curve)
-        d1 = spline(t[:-1], 1)
-        d2 = spline(t[:-1], 2)
-    else:
-        # wrapping contour: fit the displacement against a linear ramp so the
-        # periodic spline sees matched endpoints
-        loop = curve.closed_loop()
-        chord = np.linalg.norm(np.diff(loop, axis=0), axis=1)
-        t = np.concatenate([[0.0], np.cumsum(chord)])
-        ramp = np.outer(t / t[-1], np.asarray(curve.wraps, dtype=float))
-        spline = CubicSpline(t, loop - ramp, bc_type="periodic", axis=0)
-        d1 = spline(t[:-1], 1) + np.asarray(curve.wraps, dtype=float) / t[-1]
-        d2 = spline(t[:-1], 2)
+    spline, t, w = _chord_fit(curve)
+    d1 = spline(t[:-1], 1) + w / t[-1]
+    d2 = spline(t[:-1], 2)
     speed = np.linalg.norm(d1, axis=1)
     if speed.min() <= 0.0:
         raise DegenerateCurve("vanishing parameterization speed")
@@ -192,22 +185,16 @@ def geometry(curve: FrontCurve, checked: bool = True) -> FrontCurve:
 
 
 def resample(curve: FrontCurve, n_vertices: int) -> FrontCurve:
-    """Near-uniform arclength resampling (spline-based), keeping vertex 0."""
+    """Near-uniform chord-length resampling of the periodic fit.
+
+    Keeps vertex 0 and the winding ``wraps``; repeated consecutive vertices
+    raise ``DegenerateCurve``.
+    """
     if n_vertices < 8:
         raise DegenerateCurve("resampling below 8 vertices")
-    if curve.is_contractible:
-        spline, t, _ = _chord_spline(curve)
-        targets = np.linspace(0.0, t[-1], n_vertices, endpoint=False)
-        pts = spline(targets)
-    else:
-        loop = curve.closed_loop()
-        chord = np.linalg.norm(np.diff(loop, axis=0), axis=1)
-        t = np.concatenate([[0.0], np.cumsum(chord)])
-        ramp = np.outer(t / t[-1], np.asarray(curve.wraps, dtype=float))
-        spline = CubicSpline(t, loop - ramp, bc_type="periodic", axis=0)
-        targets = np.linspace(0.0, t[-1], n_vertices, endpoint=False)
-        pts = spline(targets) + np.outer(targets / t[-1],
-                                         np.asarray(curve.wraps, dtype=float))
+    spline, t, w = _chord_fit(curve)
+    targets = np.linspace(0.0, t[-1], n_vertices, endpoint=False)
+    pts = spline(targets) + np.outer(targets / t[-1], w)
     return replace(curve, vertices=pts, normals=None, curvature=None)
 
 

@@ -52,14 +52,8 @@ EXTINCTION_CELLS = 4.0
 def _tangential_weights(mobility: MobilityTensor, normals: np.ndarray) -> np.ndarray:
     """tau . mu(n) tau per vertex; tau is the left rotation of the normal."""
     taus = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
-    if mobility.has_table:
-        theta = np.arctan2(normals[:, 1], normals[:, 0])
-        mu = mobility.mu_of_angles(theta)
-        return np.einsum("vi,vij,vj->v", taus, mu, taus)
-    out = np.empty(len(normals))
-    for k, (nv, tv) in enumerate(zip(normals, taus)):
-        out[k] = mobility.tangential_scalar(nv, tv)
-    return out
+    mu = mobility.mu_of_angles(np.arctan2(normals[:, 1], normals[:, 0]))
+    return np.einsum("vi,vij,vj->v", taus, mu, taus)
 
 
 def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float,
@@ -286,6 +280,8 @@ def evolve_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
     if dt is None:
         dt = level_set_dt(mobility, sdf.grid)
     targets = sorted(set(float(c) for c in (checkpoints or [])) | {float(t_end)})
+    if targets[0] < 0.0 or targets[-1] > t_end:
+        raise ConfigError("checkpoints must lie in [0, t_end]")
     out = []
     cur, t = sdf.copy(), 0.0
     for target in targets:

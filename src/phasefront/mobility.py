@@ -13,12 +13,15 @@ model module for why the integrand is evaluated in the deflated form
     sqrt(W_e) * R_i * (da_j - a_e R_j / 2),    R = grad W_e / W_e,
 
 which is smooth through the double roots of W_e at the wells.
+
+In 2-D, ``tabulate_mobility`` samples (lambda, mu) at equispaced angles and
+fits one vector-valued periodic cubic spline through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -127,86 +130,59 @@ def tangential_lower_bound(spec: ModelSpec, e, tol: float = 1e-10) -> float:
 # tabulated tensor
 # ---------------------------------------------------------------------------
 
+# angles of the dense quantized table that serves the level-set hot path
+MU_LOOKUP_ANGLES = 16384
+
+
 @dataclass
 class MobilityTensor:
-    """Evaluator e -> (lambda, mu1, mu2, mu), optionally angle-tabulated (2-D).
+    """Angle-tabulated (2-D) tensor theta -> (lambda, mu).
 
-    With a table installed, evaluation goes through periodic cubic splines in
-    the angle; a dense lookup (``mu_lookup``) serves the level-set hot path.
+    One periodic cubic spline in the angle carries the stacked columns
+    [lambda, mu11, mu12, mu21, mu22]; a dense lookup (``mu_lookup``) serves
+    the level-set hot path. ``mu_tensor`` and ``tangential_form`` remain the
+    exact per-direction evaluators.
     """
 
-    spec: ModelSpec
-    dim: int
-    thetas: np.ndarray | None = None
-    lam_table: np.ndarray | None = None
-    mu_table: np.ndarray | None = None        # (m, dim, dim)
-    _lam_spline: Callable | None = None
-    _mu_splines: list | None = None
+    thetas: np.ndarray
+    lam_table: np.ndarray
+    mu_table: np.ndarray                      # (m, 2, 2)
+    _spline: CubicSpline
     _dense: tuple | None = None
 
-    @property
-    def has_table(self) -> bool:
-        return self.thetas is not None
-
-    def evaluate(self, e) -> MobilityValues:
-        return mu_tensor(self.spec, e)
-
     def lam_mu(self, e) -> tuple[float, np.ndarray]:
-        """(lambda, mu) at e, via the table when present."""
-        if not self.has_table:
-            v = mu_tensor(self.spec, e)
-            return v.lam, v.mu
+        """Spline-interpolated (lambda, mu) at the unit direction e."""
         e = check_unit(e)
-        th = float(np.arctan2(e[1], e[0])) % (2.0 * np.pi)
-        mu = np.array([[float(self._mu_splines[i][j](th)) for j in range(2)]
-                       for i in range(2)])
-        return float(self._lam_spline(th)), mu
+        vals = self._spline(float(np.arctan2(e[1], e[0])) % (2.0 * np.pi))
+        return float(vals[0]), vals[1:].reshape(2, 2)
 
     def mu_of_angles(self, theta: np.ndarray) -> np.ndarray:
         """Spline-interpolated mu(theta); shape theta.shape + (2, 2)."""
-        if not self.has_table:
-            raise ConfigError("mobility tensor has no angular table")
         th = np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
-        out = np.empty(th.shape + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                out[..., i, j] = self._mu_splines[i][j](th)
-        return out
+        return self._spline(th)[..., 1:].reshape(th.shape + (2, 2))
 
-    def mu_lookup(self, k: int = 16384):
+    def mu_lookup(self):
         """Dense (theta-quantized) mu table for vectorized field evaluation."""
-        if self._dense is None or self._dense[0].shape[0] != k:
-            th = 2.0 * np.pi * np.arange(k) / k
-            self._dense = (self.mu_of_angles(th), 2.0 * np.pi / k)
+        if self._dense is None:
+            th = 2.0 * np.pi * np.arange(MU_LOOKUP_ANGLES) / MU_LOOKUP_ANGLES
+            self._dense = (self.mu_of_angles(th), 2.0 * np.pi / MU_LOOKUP_ANGLES)
         return self._dense
-
-    def tangential_scalar(self, e, tau) -> float:
-        """tau . mu(e) tau, the normal-velocity weight of the flow."""
-        lam, mu = self.lam_mu(e)
-        tau = np.asarray(tau, dtype=float)
-        return float(tau @ mu @ tau)
 
     @property
     def mu_scale(self) -> float:
-        """Max |mu| entry over the table (or the axis directions)."""
-        if self.has_table:
-            return float(np.abs(self.mu_table).max())
-        vals = [np.abs(mu_tensor(self.spec, e).mu).max()
-                for e in ((1.0, 0.0), (0.0, 1.0))]
-        return float(max(vals))
+        """Max |mu| entry over the table."""
+        return float(np.abs(self.mu_table).max())
 
     @property
     def asymmetry(self) -> float:
         """Diagnostic: max |mu - mu^T| entry over the table."""
-        if not self.has_table:
-            return 0.0
         return float(np.abs(self.mu_table
                             - self.mu_table.transpose(0, 2, 1)).max())
 
 
 def tabulate_mobility(spec: ModelSpec, m_angles: int = 256,
                       tol: float = 1e-10) -> MobilityTensor:
-    """Evaluate the tensor at equispaced angles with periodic cubic splines."""
+    """Evaluate the tensor at equispaced angles and fit one periodic spline."""
     if spec.diffusivity.dim != 2:
         raise ConfigError("angular tabulation is 2-D only")
     if m_angles < 64:
@@ -220,16 +196,8 @@ def tabulate_mobility(spec: ModelSpec, m_angles: int = 256,
         mu[k] = v.mu
 
     th_ext = np.concatenate([thetas, [2.0 * np.pi]])
-    lam_spline = CubicSpline(th_ext, np.concatenate([lam, lam[:1]]),
-                             bc_type="periodic")
-    mu_splines = [[CubicSpline(th_ext, np.concatenate([mu[:, i, j], mu[:1, i, j]]),
-                               bc_type="periodic") for j in range(2)]
-                  for i in range(2)]
-    return MobilityTensor(spec=spec, dim=2, thetas=thetas, lam_table=lam,
-                          mu_table=mu, _lam_spline=lam_spline,
-                          _mu_splines=mu_splines)
-
-
-def direct_mobility(spec: ModelSpec) -> MobilityTensor:
-    """Untabulated evaluator (library mode)."""
-    return MobilityTensor(spec=spec, dim=spec.diffusivity.dim)
+    stacked = np.column_stack([lam, mu.reshape(m_angles, 4)])
+    spline = CubicSpline(th_ext, np.vstack([stacked, stacked[:1]]),
+                         bc_type="periodic", axis=0)
+    return MobilityTensor(thetas=thetas, lam_table=lam, mu_table=mu,
+                          _spline=spline)

@@ -6,11 +6,13 @@ from helpers import brute_force_curve_distance
 from phasefront import errors
 from phasefront.acsolver import Grid
 from phasefront.curves import (
+    FrontCurve,
     circle_curve,
     curve_from_points,
     curve_length,
     ellipse_curve,
     enclosed_area,
+    geometry,
     hausdorff,
     is_simple,
     marching_squares,
@@ -123,6 +125,42 @@ def test_resample_preserves_shape_and_spacing():
     seg = np.linalg.norm(np.diff(r.closed_loop(), axis=0), axis=1)
     assert seg.max() / seg.min() <= 1.01
     assert curve_length(r) == pytest.approx(curve_length(c), rel=1e-3)
+
+
+def sine_band(m: int, amp: float = 0.05) -> FrontCurve:
+    """The graph y = 0.5 + amp sin(2 pi x), wrapping once in x."""
+    x = np.arange(m) / m
+    pts = np.stack([x, 0.5 + amp * np.sin(2 * np.pi * x)], axis=1)
+    return FrontCurve(pts, 1.0 / m, wraps=(1, 0))
+
+
+def test_wrapping_fit_matches_graph_curvature_and_resamples_on_curve():
+    amp, m = 0.05, 128
+    c = geometry(sine_band(m, amp))
+    x = c.vertices[:, 0]
+    fp = 2 * np.pi * amp * np.cos(2 * np.pi * x)
+    fpp = -(2 * np.pi) ** 2 * amp * np.sin(2 * np.pi * x)
+    assert np.abs(c.curvature - fpp / (1 + fp**2) ** 1.5).max() <= 2e-3
+    normals = np.stack([fp, -np.ones(m)], axis=1) / np.sqrt(1 + fp**2)[:, None]
+    assert np.abs(c.normals - normals).max() <= 1e-6
+
+    r = resample(c, 100)
+    assert r.n_vertices == 100
+    assert r.wraps == (1, 0)
+    assert np.array_equal(r.vertices[0], c.vertices[0])
+    y_graph = 0.5 + amp * np.sin(2 * np.pi * r.vertices[:, 0])
+    assert np.abs(r.vertices[:, 1] - y_graph).max() <= 1e-7
+    seg = np.linalg.norm(np.diff(r.closed_loop(), axis=0), axis=1)
+    assert seg.max() / seg.min() <= 1.01
+
+
+@pytest.mark.parametrize("fit", [geometry, lambda c: resample(c, 64)],
+                         ids=["geometry", "resample"])
+def test_fit_rejects_repeated_vertex_on_wrapping_curve(fit):
+    band = sine_band(64)
+    band.vertices = np.insert(band.vertices, 10, band.vertices[10], axis=0)
+    with pytest.raises(errors.DegenerateCurve):
+        fit(band)
 
 
 def test_is_simple_detects_crossing():

@@ -248,6 +248,16 @@ def test_level_set_gradient_degeneracy():
         step_level_set(flat, mob, level_set_dt(mob, g))
 
 
+@pytest.mark.parametrize("checkpoint", [3.0, -1.0], ids=["past-t_end", "negative"])
+def test_level_set_rejects_checkpoints_outside_span(identity_mobility, checkpoint):
+    g = Grid(32)
+    sdf = signed_distance(circle_curve((0.5, 0.5), 0.25, 64), g)
+    dt = level_set_dt(identity_mobility, g)
+    with pytest.raises(errors.ConfigError):
+        evolve_level_set(sdf, identity_mobility, dt, dt=dt,
+                         checkpoints=[checkpoint * dt])
+
+
 def test_zero_contour_requires_crossing():
     g = Grid(64)
     sdf = signed_distance(circle_curve((0.5, 0.5), 0.25, 64), g)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from helpers import constant_d_mu_oracle, random_spd_polynomial_model, random_tangential_pair
 
@@ -12,7 +13,6 @@ from phasefront.model import (
     validate_model,
 )
 from phasefront.mobility import (
-    direct_mobility,
     lambda_e,
     mu_tensor,
     tabulate_mobility,
@@ -141,11 +141,39 @@ def test_tabulate_resolution_convergence():
     t64 = tabulate_mobility(spec, 64)
     t256 = tabulate_mobility(spec, 256)
     ths = 2.0 * np.pi * np.arange(128) / 128.0 + 1e-3
-    worst = max(
-        np.abs(t64.mu_of_angles(ths) - t256.mu_of_angles(ths)).max(),
-        float(np.abs(t64._lam_spline(ths) - t256._lam_spline(ths)).max()),
-    )
+    lam_gap = max(abs(t64.lam_mu(e)[0] - t256.lam_mu(e)[0])
+                  for e in np.stack([np.cos(ths), np.sin(ths)], axis=1))
+    worst = max(np.abs(t64.mu_of_angles(ths) - t256.mu_of_angles(ths)).max(),
+                lam_gap)
     assert worst <= 1e-4
+
+
+def test_table_spline_matches_five_scalar_splines():
+    tab = tabulate_mobility(random_spd_polynomial_model(np.random.default_rng(11)), 64)
+    th_ext = np.append(tab.thetas, 2.0 * np.pi)
+
+    def scalar_spline(values):
+        return CubicSpline(th_ext, np.append(values, values[0]), bc_type="periodic")
+
+    ref_lam = scalar_spline(tab.lam_table)
+    ref_mu = [[scalar_spline(tab.mu_table[:, i, j]) for j in range(2)]
+              for i in range(2)]
+    ths = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 512)
+    mu = tab.mu_of_angles(ths)
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(mu[..., i, j], ref_mu[i][j](ths))
+    for th in ths[:64]:
+        e = np.array([np.cos(th), np.sin(th)])
+        lam, mu_e = tab.lam_mu(e)
+        th_e = float(np.arctan2(e[1], e[0])) % (2.0 * np.pi)
+        assert lam == float(ref_lam(th_e))
+        assert np.array_equal(mu_e, [[float(ref_mu[i][j](th_e)) for j in range(2)]
+                                     for i in range(2)])
+    # the spline interpolates the table at the nodes
+    assert np.array_equal(tab.mu_of_angles(tab.thetas), tab.mu_table)
+    node_lams = [tab.lam_mu((np.cos(th), np.sin(th)))[0] for th in tab.thetas]
+    assert np.abs(np.array(node_lams) - tab.lam_table).max() <= 1e-12
 
 
 def test_tabulate_preconditions():
@@ -175,11 +203,11 @@ def test_asymmetry_diagnostic_recorded():
     assert tab.asymmetry < 1.0
 
 
-def test_direct_mobility_mode():
-    mob = direct_mobility(diag12_model())
-    assert not mob.has_table
-    lam, mu = mob.lam_mu((1.0, 0.0))
-    assert lam == pytest.approx(2.0 * SQ2 / 3.0, abs=1e-10)
-    assert mob.tangential_scalar((1.0, 0.0), (0.0, 1.0)) == pytest.approx(2.0, abs=1e-8)
-    with pytest.raises(errors.ConfigError):
-        mob.mu_of_angles(np.zeros(3))
+def test_mu_tensor_axis_direction_values():
+    spec = diag12_model()
+    v = mu_tensor(spec, (1.0, 0.0))
+    assert v.lam == pytest.approx(2.0 * SQ2 / 3.0, abs=1e-10)
+    tau = np.array([0.0, 1.0])
+    assert tau @ v.mu @ tau == pytest.approx(2.0, abs=1e-8)
+    assert tangential_form(spec, (1.0, 0.0), tau) == pytest.approx(
+        2.0 * v.lam, abs=1e-8)
