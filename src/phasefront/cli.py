@@ -102,10 +102,18 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    """Comma separated numbers of a flag; empty items are skipped."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} takes comma separated numbers, got {text!r}") from exc
+
+
 def _experiment_config(args):
     cfg = load_config(args.config)
     if getattr(args, "eps", None):
-        cfg["eps"] = [float(e) for e in str(args.eps).split(",")]
+        cfg["eps"] = _floats(str(args.eps), "--eps")
     if getattr(args, "out", None):
         cfg["out"] = args.out
     return experiment_from_dict(cfg)
@@ -133,8 +141,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_profile(args) -> int:
     spec = load_model(args.config)
-    e = np.array([float(x) for x in args.e.split(",")])
-    e = e / np.linalg.norm(e)
+    e = np.array(_floats(args.e, "--e"))
+    norm = float(np.linalg.norm(e))
+    if len(e) != spec.diffusivity.dim or not 0.0 < norm < np.inf:
+        raise ConfigError(f"--e must be a nonzero finite {spec.diffusivity.dim}-vector, "
+                          f"got {args.e!r}")
+    e = e / norm
     prof = solve_standing_wave(spec, e, z_max=args.zmax, h_z=args.hz)
     with open(args.out, "w") as fh:
         fh.write("z,u0,u0z\n")
@@ -156,6 +168,7 @@ def _cmd_mobility(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    snaps = _floats(args.snapshots, "--snapshots")
     spec = load_model(args.config)
     if args.eps is not None:
         spec = spec.with_epsilon(args.eps)
@@ -165,7 +178,6 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("simulate builds its initial data from a curve shape")
     table = ProfileTable.build(spec, m_angles=64)
     u0 = tanh_ansatz_field(grid, spec, table, shape.build_curve(512))
-    snaps = [float(s) for s in args.snapshots.split(",") if s]
     fields = simulate(u0, spec, args.tend, snapshot_times=snaps)
     for fld in fields:
         prefix = f"{args.out_prefix}_t{fld.t:.6f}"

@@ -313,16 +313,14 @@ _CASE_SEGMENTS = {
 }
 
 
-def marching_squares(values: np.ndarray, h: float, level: float,
-                     origin: float | None = None) -> list[FrontCurve]:
+def marching_squares(values: np.ndarray, h: float, level: float) -> list[FrontCurve]:
     """Extract level-set loops of a periodic cell-centered field.
 
     Returns closed loops oriented with the high side (values > level) on the
     right of travel; ambiguous saddle cells are split by the midpoint rule.
     """
     n0, n1 = values.shape
-    if origin is None:
-        origin = 0.5 * h
+    origin = 0.5 * h                               # the first cell centre
     high = values > level
 
     cross_h = high ^ np.roll(high, -1, axis=0)     # edge (i,j)->(i+1,j)

@@ -1,16 +1,19 @@
 """Front tracking and level-set evolution of the limiting anisotropic flow.
 
-Both solvers realize the same law: the front moves with normal velocity
-V_n = -kappa * (tau . mu(n) tau), which is the planar contraction of the
-mobility tensor against the distance Hessian (the Hessian of a signed
-distance restricted to the curve equals kappa tau tau^T). The level-set
-route instead starts from the signed torus distance to the front, exact at
-every cell centre (``curves.points_to_curve_distance``, a periodic k-d tree
-query), and advances it with
+Both solvers realize one law, the planar form of V = -sum_ij mu_ij(n) d_i n_j:
 
-    d_t = sum_ij mu_ij(grad d / |grad d|) d_{x_i x_j},
+    V_n = -kappa w(n),    w(n) = tau . mu(n) tau,    tau = (-n_y, n_x),
 
-reinitializing periodically so |grad d| stays near one in the band.
+with the weight w from ``MobilityTensor.tangential_weight``. The front
+tracker moves markers along their normals by it. The level-set route starts
+from the signed torus distance to the front, exact at every cell centre
+(``curves.points_to_curve_distance``, a periodic k-d tree query), and
+advances it with
+
+    d_t = w(n) tau^T (grad^2 d) tau,    n = grad d / |grad d|,
+
+reading w from a dense angle table and reinitializing every
+``REINIT_EVERY`` steps so |grad d| stays near one in the band.
 """
 
 from __future__ import annotations
@@ -43,24 +46,18 @@ from .mobility import MobilityTensor
 
 FRONT_CFL = 0.15
 EXTINCTION_CELLS = 4.0
+REINIT_EVERY = 25           # level-set steps between reinitializations
+REINIT_ITERATIONS = 20      # relaxation sweeps per reinitialization
 
 
 # ---------------------------------------------------------------------------
 # front tracking
 # ---------------------------------------------------------------------------
 
-def _tangential_weights(mobility: MobilityTensor, normals: np.ndarray) -> np.ndarray:
-    """tau . mu(n) tau per vertex; tau is the left rotation of the normal."""
-    taus = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
-    mu = mobility.mu_of_angles(np.arctan2(normals[:, 1], normals[:, 0]))
-    return np.einsum("vi,vij,vj->v", taus, mu, taus)
-
-
-def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float,
-               cfl: float = FRONT_CFL) -> FrontCurve:
+def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float) -> FrontCurve:
     """Advance the front by dt, substepping to honor the marker CFL bound.
 
-    Each substep satisfies dt_sub <= cfl * (min spacing)^2 / max(tau.mu.tau)
+    Each substep satisfies dt_sub <= FRONT_CFL * (min spacing)^2 / max(w)
     (the spline curvature operator is stiffer than a 3-point stencil, hence
     the margin below 1/6); redistribution to near-uniform arclength and the
     topology checks run once per outer step. The returned curve carries its
@@ -74,9 +71,9 @@ def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float,
         if cur.normals is None or cur.curvature is None:
             cur = geometry(cur, checked=False)
         seg = np.linalg.norm(np.diff(cur.closed_loop(), axis=0), axis=1)
-        weights = _tangential_weights(mobility, cur.normals)
+        weights = mobility.tangential_weight(cur.normals)
         wmax = float(np.abs(weights).max())
-        bound = cfl * float(seg.min()) ** 2 / max(wmax, 1e-300)
+        bound = FRONT_CFL * float(seg.min()) ** 2 / max(wmax, 1e-300)
         sub = min(remaining, bound)
         vn = -cur.curvature * weights
         cur = replace(cur, vertices=cur.vertices + sub * vn[:, None] * cur.normals,
@@ -180,7 +177,7 @@ def signed_distance(curve: FrontCurve, grid: Grid) -> SignedDistanceField:
 # level-set evolution
 # ---------------------------------------------------------------------------
 
-def reinitialize(sdf: SignedDistanceField, iterations: int = 20) -> SignedDistanceField:
+def reinitialize(sdf: SignedDistanceField) -> SignedDistanceField:
     """Godunov upwind relaxation of |grad d| = 1 with a subcell interface fix.
 
     Cells whose stencil straddles the zero set relax toward the local linear
@@ -202,7 +199,7 @@ def reinitialize(sdf: SignedDistanceField, iterations: int = 20) -> SignedDistan
     grad0 = np.hypot((d0xp - d0xm) / (2.0 * h), (d0yp - d0ym) / (2.0 * h))
     target = d0 / np.maximum(grad0, 1e-8)          # linear distance estimate
 
-    for _ in range(iterations):
+    for _ in range(REINIT_ITERATIONS):
         dxm = (d - np.roll(d, 1, axis=0)) / h
         dxp = (np.roll(d, -1, axis=0) - d) / h
         dym = (d - np.roll(d, 1, axis=1)) / h
@@ -219,13 +216,19 @@ def reinitialize(sdf: SignedDistanceField, iterations: int = 20) -> SignedDistan
 
 
 def level_set_dt(mobility: MobilityTensor, grid: Grid) -> float:
-    return grid.h**2 / (8.0 * max(mobility.mu_scale, 1e-12))
+    weights, _ = mobility.weight_lookup()
+    return grid.h**2 / (8.0 * max(float(weights.max()), 1e-12))
 
 
 def step_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
-                   dt: float, reinit_every: int = 25) -> SignedDistanceField:
-    """One explicit update of d_t = mu_ij(grad d/|grad d|) d_ij."""
-    n, h = sdf.grid.n, sdf.grid.h
+                   dt: float) -> SignedDistanceField:
+    """One explicit update of d_t = w(n) tau^T (grad^2 d) tau.
+
+    tau = (-d_y, d_x) / |grad d| and w is read from the weight table at the
+    quantized angle of grad d. Cells with |grad d| < 1/2 are held fixed; in
+    the band |d| < 3h they raise GradientDegeneracy.
+    """
+    h = sdf.grid.h
     d = sdf.values
     dxp = np.roll(d, -1, axis=0)
     dxm = np.roll(d, 1, axis=0)
@@ -233,49 +236,37 @@ def step_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
     dym = np.roll(d, 1, axis=1)
     gx = (dxp - dxm) / (2.0 * h)
     gy = (dyp - dym) / (2.0 * h)
-    gnorm = np.hypot(gx, gy)
-    ok = gnorm >= 0.5
+    g2 = gx * gx + gy * gy
+    ok = g2 >= 0.25
     if np.any((np.abs(d) < 3.0 * h) & ~ok):
         raise GradientDegeneracy("|grad d| < 0.5 inside the narrow band")
 
-    table, dtheta = mobility.mu_lookup()
+    table, dtheta = mobility.weight_lookup()
     theta = np.arctan2(gy, gx)
     np.mod(theta, 2.0 * np.pi, out=theta)
     theta /= dtheta
     idx = theta.astype(int)
     idx %= len(table)
-    # one flat gather per entry is several times cheaper than gathering the
-    # (n, n, 2, 2) block array
-    m00, m01, m10, m11 = (np.take(table[:, i, j], idx)
-                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    w = np.take(table, idx)
 
     inv_h2 = 1.0 / (h * h)
     dxx = (dxp - 2.0 * d + dxm) * inv_h2
     dyy = (dyp - 2.0 * d + dym) * inv_h2
-    dxy = (np.roll(dxp, -1, axis=1) - np.roll(dxp, 1, axis=1)
-           - np.roll(dxm, -1, axis=1) + np.roll(dxm, 1, axis=1)) * (0.25 * inv_h2)
-    # contract mu against the projected Hessian H - (Hn) x n, the grid form of
-    # |grad d| * dn_j/dx_i; identical to mu:H on an exact distance function but
-    # insensitive to |grad d| drifting between reinitializations
-    safe = np.where(gnorm > 0.0, gnorm, 1.0)
-    nx, ny = gx / safe, gy / safe
-    hn_x = dxx * nx + dxy * ny
-    hn_y = dxy * nx + dyy * ny
-    rhs = (m00 * dxx + (m01 + m10) * dxy + m11 * dyy
-           - hn_x * (m00 * nx + m01 * ny)
-           - hn_y * (m10 * nx + m11 * ny))
+    dxy = (np.roll(gx, -1, axis=1) - np.roll(gx, 1, axis=1)) / (2.0 * h)
+    # tau^T H tau with tau = (-gy, gx) / |grad d|; the floor on |grad d|^2
+    # only reaches cells that are held fixed
+    rhs = w * (gy * gy * dxx - 2.0 * gx * gy * dxy + gx * gx * dyy) / np.maximum(g2, 0.25)
     new = d + dt * np.where(ok, rhs, 0.0)
     if not np.isfinite(new).all():
         raise Blowup("level-set update produced non-finite values")
     out = SignedDistanceField(sdf.grid, new, sdf.steps_taken + 1)
-    if reinit_every > 0 and out.steps_taken % reinit_every == 0:
+    if out.steps_taken % REINIT_EVERY == 0:
         out = reinitialize(out)
     return out
 
 
 def evolve_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
                      t_end: float, dt: float | None = None,
-                     reinit_every: int = 25,
                      checkpoints=None) -> list[tuple[float, SignedDistanceField]]:
     if dt is None:
         dt = level_set_dt(mobility, sdf.grid)
@@ -287,7 +278,7 @@ def evolve_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
     for target in targets:
         while t < target - 1e-14:
             sub = min(dt, target - t)
-            cur = step_level_set(cur, mobility, sub, reinit_every)
+            cur = step_level_set(cur, mobility, sub)
             t += sub
         out.append((target, cur.copy()))
     return out

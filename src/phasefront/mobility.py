@@ -14,8 +14,15 @@ model module for why the integrand is evaluated in the deflated form
 
 which is smooth through the double roots of W_e at the wells.
 
-In 2-D, ``tabulate_mobility`` samples (lambda, mu) at equispaced angles and
-fits one vector-valued periodic cubic spline through them.
+In 2-D the limiting flow V = -sum_ij mu_ij(n) d_i n_j reduces to
+V_n = -kappa w(n) with the scalar tangential weight
+
+    w(n) = tau . mu(n) tau,    tau = (-n_y, n_x),
+
+and ``MobilityTensor.tangential_weight`` is the one place that forms it.
+``tabulate_mobility`` samples (lambda, mu) at equispaced angles and fits one
+vector-valued periodic cubic spline through them; ``weight_lookup``
+tabulates w densely for the level-set step.
 """
 
 from __future__ import annotations
@@ -130,7 +137,7 @@ def tangential_lower_bound(spec: ModelSpec, e, tol: float = 1e-10) -> float:
 # tabulated tensor
 # ---------------------------------------------------------------------------
 
-# angles of the dense quantized table that serves the level-set hot path
+# angles of the dense quantized weight table that serves the level-set step
 MU_LOOKUP_ANGLES = 16384
 
 
@@ -139,9 +146,10 @@ class MobilityTensor:
     """Angle-tabulated (2-D) tensor theta -> (lambda, mu).
 
     One periodic cubic spline in the angle carries the stacked columns
-    [lambda, mu11, mu12, mu21, mu22]; a dense lookup (``mu_lookup``) serves
-    the level-set hot path. ``mu_tensor`` and ``tangential_form`` remain the
-    exact per-direction evaluators.
+    [lambda, mu11, mu12, mu21, mu22]; ``tangential_weight`` contracts it into
+    the flow law and a dense table of that weight (``weight_lookup``) serves
+    the level-set step. ``mu_tensor`` and ``tangential_form`` remain the exact
+    per-direction evaluators.
     """
 
     thetas: np.ndarray
@@ -161,17 +169,20 @@ class MobilityTensor:
         th = np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
         return self._spline(th)[..., 1:].reshape(th.shape + (2, 2))
 
-    def mu_lookup(self):
-        """Dense (theta-quantized) mu table for vectorized field evaluation."""
+    def tangential_weight(self, normals: np.ndarray) -> np.ndarray:
+        """w = tau . mu(n) tau for unit normals of shape (k, 2); shape (k,)."""
+        taus = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
+        mu = self.mu_of_angles(np.arctan2(normals[:, 1], normals[:, 0]))
+        return np.einsum("vi,vij,vj->v", taus, mu, taus)
+
+    def weight_lookup(self) -> tuple[np.ndarray, float]:
+        """(w at the MU_LOOKUP_ANGLES angles k * dtheta, dtheta)."""
         if self._dense is None:
             th = 2.0 * np.pi * np.arange(MU_LOOKUP_ANGLES) / MU_LOOKUP_ANGLES
-            self._dense = (self.mu_of_angles(th), 2.0 * np.pi / MU_LOOKUP_ANGLES)
+            normals = np.stack([np.cos(th), np.sin(th)], axis=1)
+            self._dense = (self.tangential_weight(normals),
+                           2.0 * np.pi / MU_LOOKUP_ANGLES)
         return self._dense
-
-    @property
-    def mu_scale(self) -> float:
-        """Max |mu| entry over the table."""
-        return float(np.abs(self.mu_table).max())
 
     @property
     def asymmetry(self) -> float:

@@ -32,6 +32,8 @@ from .errors import (
 )
 
 _UNIT_TOL = 1e-9
+# relative remainder above which W_e is taken not to vanish doubly at a well
+_DEFLATE_TOL = 1e-6
 
 
 def _as_poly(coeffs) -> Polynomial:
@@ -45,7 +47,7 @@ def _as_poly(coeffs) -> Polynomial:
 def check_unit(e) -> np.ndarray:
     """Return e as a float vector, raising NotUnit if it is off the sphere."""
     e = np.asarray(e, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > _UNIT_TOL:
+    if not abs(np.linalg.norm(e) - 1.0) <= _UNIT_TOL:
         raise NotUnit(f"direction {e} has |e| = {np.linalg.norm(e):.12f}")
     return e
 
@@ -176,14 +178,6 @@ class DiffusivitySpec:
         for i in range(self.dim):
             for j in range(self.dim):
                 out[i, j] = self.entries[i][j](s)
-        return out
-
-    def d_matrix_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.empty((self.dim, self.dim) + s.shape)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i, j] = self.entries[i][j].deriv()(s)
         return out
 
     def eig_bounds(self, lo: float, hi: float, n_samples: int = 1024):
@@ -384,10 +378,6 @@ def validate_model(spec: ModelSpec, n_samples: int = 1024, tol: float = 1e-8,
     )
 
 
-def ensure_valid(spec: ModelSpec, tol: float = 1e-8) -> None:
-    validate_model(spec, tol=tol).raise_if_failed()
-
-
 # ---------------------------------------------------------------------------
 # section functions
 # ---------------------------------------------------------------------------
@@ -464,13 +454,14 @@ class DirectionSection:
     evaluated without cancellation.
     """
 
-    def __init__(self, spec: ModelSpec, e, *, check: bool = True,
-                 deflate_tol: float = 1e-6):
+    def __init__(self, spec: ModelSpec, e, *, check: bool = True):
         e = check_unit(e)
         self.spec = spec
         self.e = e
         r, d = spec.reaction, spec.diffusivity
         n = d.dim
+        if e.shape != (n,):
+            raise NotUnit(f"direction {e} is not a unit {n}-vector")
         self.alpha_minus, self.alpha_plus = r.alpha_minus, r.alpha_plus
 
         a_poly = Polynomial([0.0])
@@ -478,9 +469,7 @@ class DirectionSection:
             for j in range(n):
                 a_poly = a_poly + (e[i] * e[j]) * d.entry(i, j)
         self.a_poly = a_poly
-        self.da_poly = a_poly.deriv()
         self.w_poly = -2.0 * _integ_from(a_poly * r.poly, r.alpha_minus)
-        self.dw_poly = self.w_poly.deriv()
 
         self.grad_a_polys = []
         self.grad_w_polys = []
@@ -502,14 +491,14 @@ class DirectionSection:
         ends = [r.alpha_minus, r.alpha_minus, r.alpha_plus, r.alpha_plus]
         scale = max(1e-30, float(np.abs(self.w_poly.coef).max()))
         self.q_poly, rem = _deflate(self.w_poly, ends)
-        if check and rem > deflate_tol * scale:
+        if check and rem > _DEFLATE_TOL * scale:
             raise EquipotentialViolated(
                 f"W_e does not vanish doubly at the wells (residual {rem:.3e}); "
                 "model fails the equipotential condition")
         self.tan_grad_q_polys = []
         for g in self.tan_grad_w_polys:
             gq, grem = _deflate(g, ends)
-            if check and grem > deflate_tol * max(scale, float(np.abs(g.coef).max()) if g.coef.size else 0.0):
+            if check and grem > _DEFLATE_TOL * max(scale, float(np.abs(g.coef).max()) if g.coef.size else 0.0):
                 raise EquipotentialViolated(
                     f"tangential W-gradient residual {grem:.3e} at the wells")
             self.tan_grad_q_polys.append(gq)
@@ -529,23 +518,11 @@ class DirectionSection:
     def w(self, s):
         return self.w_poly(s)
 
-    def w_prime(self, s):
-        return self.dw_poly(s)
-
-    def q(self, s):
-        return self.q_poly(s)
-
     def sqrt_w(self, s):
         """sqrt(W_e) in the stable factored form, >= 0 on [a-, a+]."""
         s = np.asarray(s, dtype=float)
         t = (s - self.alpha_minus) * (self.alpha_plus - s)
         return np.abs(t) * np.sqrt(np.maximum(self.q_poly(s), 0.0))
-
-    def grad_a(self, s):
-        return np.stack([g(np.asarray(s, dtype=float)) for g in self.grad_a_polys])
-
-    def grad_w(self, s):
-        return np.stack([g(np.asarray(s, dtype=float)) for g in self.grad_w_polys])
 
     def tan_grad_a(self, s):
         return np.stack([g(np.asarray(s, dtype=float)) for g in self.tan_grad_a_polys])

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import QuadratureFailure
 
 ABS_TOL = 1e-10
+START_ORDER = 48
+MAX_ORDER = 1536
 
 
 @lru_cache(maxsize=32)
@@ -23,44 +25,31 @@ def _gl_nodes(order: int):
     return x, w
 
 
-def gauss_adaptive(f, a: float, b: float, tol: float = ABS_TOL,
-                   start_order: int = 48, max_order: int = 1536) -> float:
-    """Integrate a vectorized callable by doubling Gauss-Legendre orders.
+def gauss_adaptive(f, a: float, b: float, tol: float = ABS_TOL) -> float:
+    """Integrate a vectorized scalar callable; the one-row ``gauss_adaptive_vec``.
 
-    The integrand must accept an ndarray of abscissae. Convergence is declared
-    when two consecutive orders agree within ``tol`` (absolute).
+    The integrand must accept an ndarray of abscissae. An empty interval
+    integrates to 0.0.
     """
     if a == b:
         return 0.0
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    order = start_order
-    x, w = _gl_nodes(order)
-    prev = half * float(np.dot(w, f(mid + half * x)))
-    while order < max_order:
-        order *= 2
-        x, w = _gl_nodes(order)
-        cur = half * float(np.dot(w, f(mid + half * x)))
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise QuadratureFailure(
-        f"Gauss-Legendre doubling did not reach tol={tol:g} by order {max_order}")
+    return float(gauss_adaptive_vec(lambda x: f(x)[np.newaxis], a, b, tol)[0])
 
 
-def gauss_adaptive_vec(f, a: float, b: float, tol: float = ABS_TOL,
-                       start_order: int = 48, max_order: int = 1536) -> np.ndarray:
+def gauss_adaptive_vec(f, a: float, b: float, tol: float = ABS_TOL) -> np.ndarray:
     """Order-doubling Gauss-Legendre for a stacked family of integrands.
 
     ``f(x)`` must return shape (k, len(x)); the result has shape (k,).
-    Convergence requires every component to settle within ``tol``.
+    Convergence is declared when two consecutive orders agree within ``tol``
+    (absolute) in every component.
     """
     if a == b:
         raise QuadratureFailure("empty integration interval")
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    order = start_order
+    order = START_ORDER
     x, w = _gl_nodes(order)
     prev = half * (f(mid + half * x) @ w)
-    while order < max_order:
+    while order < MAX_ORDER:
         order *= 2
         x, w = _gl_nodes(order)
         cur = half * (f(mid + half * x) @ w)
@@ -68,7 +57,7 @@ def gauss_adaptive_vec(f, a: float, b: float, tol: float = ABS_TOL,
             return cur
         prev = cur
     raise QuadratureFailure(
-        f"Gauss-Legendre doubling did not reach tol={tol:g} by order {max_order}")
+        f"Gauss-Legendre doubling did not reach tol={tol:g} by order {MAX_ORDER}")
 
 
 def cumulative_trapezoid_from(y: np.ndarray, x: np.ndarray, i0: int) -> np.ndarray:

@@ -63,6 +63,32 @@ def test_profile_csv(cubic_cfg, tmp_path):
     assert np.all(np.diff(data[:, 1]) >= 0.0)
 
 
+@pytest.mark.parametrize("e", ["0,0", "1", "1,0,0", "a,b", "nan,1", "inf,0"])
+def test_profile_rejects_malformed_direction(cubic_cfg, tmp_path, capsys, e):
+    out = tmp_path / "profile.csv"
+    assert cli_main(["profile", "--config", cubic_cfg, "--e", e,
+                     "--out", str(out)]) == 3
+    assert "--e" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_malformed_snapshots(cubic_cfg, tmp_path, capsys):
+    assert cli_main(["simulate", "--config", cubic_cfg, "--grid", "64",
+                     "--tend", "0.0002", "--snapshots", "0.1,x",
+                     "--out-prefix", str(tmp_path / "run")]) == 3
+    assert "--snapshots" in capsys.readouterr().err
+
+
+def test_converge_rejects_malformed_eps(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "model": CUBIC, "grid": {"n": 64}, "eps": [0.08],
+        "shape": {"kind": "circle", "params": {"r": 0.25}},
+        "times": {"t_end": 0.001}}))
+    assert cli_main(["converge", "--config", str(cfg), "--eps", "0.08,x"]) == 3
+    assert "--eps" in capsys.readouterr().err
+
+
 def test_mobility_csv(cubic_cfg, tmp_path):
     out = tmp_path / "mob.csv"
     assert cli_main(["mobility", "--config", cubic_cfg, "--angles", "64",

@@ -15,6 +15,7 @@ from phasefront.curves import (
     turning_number,
 )
 from phasefront.flow import (
+    SignedDistanceField,
     evolve_front,
     evolve_level_set,
     level_set_dt,
@@ -24,7 +25,7 @@ from phasefront.flow import (
     step_level_set,
     zero_contour,
 )
-from phasefront.mobility import mu_tensor, tabulate_mobility
+from phasefront.mobility import MU_LOOKUP_ANGLES, mu_tensor, tabulate_mobility
 from phasefront.model import (
     ModelSpec,
     cubic_identity_model,
@@ -141,11 +142,7 @@ def test_front_tangential_weights_positive(diag_mobility):
     cur = circle_curve((0.5, 0.5), 0.25, 128, h_target=0.012)
     for _ in range(20):
         cur = step_front(cur, diag_mobility, 1e-5)
-        taus = np.stack([-cur.normals[:, 1], cur.normals[:, 0]], axis=1)
-        mu = diag_mobility.mu_of_angles(np.arctan2(cur.normals[:, 1],
-                                                   cur.normals[:, 0]))
-        w = np.einsum("vi,vij,vj->v", taus, mu, taus)
-        assert w.min() > 0.0
+        assert diag_mobility.tangential_weight(cur.normals).min() > 0.0
 
 
 def test_front_extinction_is_terminal(identity_mobility):
@@ -190,7 +187,7 @@ def test_signed_distance_inverted_orientation():
 def test_signed_distance_gradient_after_reinit():
     g = Grid(128)
     sdf = signed_distance(circle_curve((0.5, 0.5), 0.25, 256), g)
-    sdf = reinitialize(sdf, 20)
+    sdf = reinitialize(sdf)
     d = sdf.values
     gx = (np.roll(d, -1, 0) - np.roll(d, 1, 0)) / (2 * g.h)
     gy = (np.roll(d, -1, 1) - np.roll(d, 1, 1)) / (2 * g.h)
@@ -236,6 +233,40 @@ def test_level_set_matches_front_tracking_anisotropic(diag_mobility):
     sdf = signed_distance(circle_curve((0.5, 0.5), 0.25, 256), g)
     ls = evolve_level_set(sdf, diag_mobility, 0.005)[-1][1]
     assert hausdorff(front, zero_contour(ls)) <= 2 * g.h
+
+
+def test_level_set_step_matches_tangential_hessian_reference(diag_mobility):
+    # a quadratic bowl: not a distance function, so n.H tau != 0 off the axes
+    g = Grid(64)
+    x, y = g.cell_centers()
+    d = ((x - 0.5) ** 2 + 2.0 * (y - 0.5) ** 2) / 0.6 - 0.1
+    dt = level_set_dt(diag_mobility, g)
+    out = step_level_set(SignedDistanceField(g, d), diag_mobility, dt)
+    assert out.steps_taken == 1
+
+    h = g.h
+    gx = (np.roll(d, -1, 0) - np.roll(d, 1, 0)) / (2 * h)
+    gy = (np.roll(d, -1, 1) - np.roll(d, 1, 1)) / (2 * h)
+    dxx = (np.roll(d, -1, 0) - 2 * d + np.roll(d, 1, 0)) / h**2
+    dyy = (np.roll(d, -1, 1) - 2 * d + np.roll(d, 1, 1)) / h**2
+    dxy = (np.roll(np.roll(d, -1, 0), -1, 1) - np.roll(np.roll(d, -1, 0), 1, 1)
+           - np.roll(np.roll(d, 1, 0), -1, 1) + np.roll(np.roll(d, 1, 0), 1, 1)) / (4 * h**2)
+    gn = np.hypot(gx, gy)
+    taux, tauy = -gy / gn, gx / gn
+    # w at the angle of grad d, quantized down to the weight table's grid
+    dtheta = 2 * np.pi / MU_LOOKUP_ANGLES
+    k = (np.mod(np.arctan2(gy, gx), 2 * np.pi) // dtheta) % MU_LOOKUP_ANGLES
+    theta_q = k.ravel() * dtheta
+    tau_q = np.stack([-np.sin(theta_q), np.cos(theta_q)], axis=1)
+    mu = diag_mobility.mu_of_angles(theta_q)
+    w = np.einsum("vi,vij,vj->v", tau_q, mu, tau_q).reshape(d.shape)
+    tht = taux**2 * dxx + 2 * taux * tauy * dxy + tauy**2 * dyy
+    expected = d + dt * np.where(gn >= 0.5, w * tht, 0.0)
+    assert np.abs(out.values - expected).max() <= 1e-12
+    # the field is off the distance-function manifold where it matters
+    band = np.abs(d) < 3 * h
+    n_h_tau = (gx * (dxx * taux + dxy * tauy) + gy * (dxy * taux + dyy * tauy)) / gn
+    assert np.abs(n_h_tau[band]).max() > 1.0
 
 
 def test_level_set_gradient_degeneracy():

@@ -13,6 +13,7 @@ from phasefront.model import (
     validate_model,
 )
 from phasefront.mobility import (
+    MU_LOOKUP_ANGLES,
     lambda_e,
     mu_tensor,
     tabulate_mobility,
@@ -174,6 +175,19 @@ def test_table_spline_matches_five_scalar_splines():
     assert np.array_equal(tab.mu_of_angles(tab.thetas), tab.mu_table)
     node_lams = [tab.lam_mu((np.cos(th), np.sin(th)))[0] for th in tab.thetas]
     assert np.abs(np.array(node_lams) - tab.lam_table).max() <= 1e-12
+
+
+def test_weight_table_is_tangential_weight_at_its_nodes():
+    tab = tabulate_mobility(random_spd_polynomial_model(np.random.default_rng(11)), 64)
+    table, dtheta = tab.weight_lookup()
+    assert dtheta == 2.0 * np.pi / MU_LOOKUP_ANGLES
+    th = 2.0 * np.pi * np.arange(MU_LOOKUP_ANGLES) / MU_LOOKUP_ANGLES
+    normals = np.stack([np.cos(th), np.sin(th)], axis=1)
+    assert np.array_equal(table, tab.tangential_weight(normals))
+    # w = tau . mu tau with tau the left rotation of the normal
+    taus = np.stack([-np.sin(th), np.cos(th)], axis=1)
+    ref = np.einsum("vi,vij,vj->v", taus, tab.mu_of_angles(th), taus)
+    assert np.abs(table - ref).max() <= 1e-12
 
 
 def test_tabulate_preconditions():

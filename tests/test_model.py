@@ -11,6 +11,7 @@ from phasefront.model import (
     ReactionSpec,
     a_e,
     big_a_e,
+    check_unit,
     cubic_identity_model,
     cubic_reaction,
     diagonal_diffusivity,
@@ -92,6 +93,19 @@ def test_a_e_values():
 def test_a_e_rejects_non_unit_direction():
     with pytest.raises(errors.NotUnit):
         a_e(cubic_identity_model(), (1.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("e", [(np.nan, np.nan), (np.nan, 1.0), (np.inf, 0.0)],
+                         ids=["nan", "half-nan", "inf"])
+def test_check_unit_rejects_non_finite_direction(e):
+    with pytest.raises(errors.NotUnit):
+        check_unit(e)
+
+
+@pytest.mark.parametrize("e", [(1.0,), (1.0, 0.0, 0.0)], ids=["short", "long"])
+def test_direction_section_rejects_wrong_dimension(e):
+    with pytest.raises(errors.NotUnit):
+        DirectionSection(cubic_identity_model(), e)
 
 
 def test_big_a_and_w_identity_closed_forms():
