@@ -384,14 +384,8 @@ def validate_model(spec: ModelSpec, n_samples: int = 1024, tol: float = 1e-8,
 
 def a_e(spec: ModelSpec, e, s):
     """e . D(s) e for a unit direction e."""
-    e = check_unit(e)
-    d = spec.diffusivity
-    s_arr = np.asarray(s, dtype=float)
-    out = np.zeros(s_arr.shape)
-    for i in range(d.dim):
-        for j in range(d.dim):
-            out = out + e[i] * e[j] * d.entry(i, j)(s_arr)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    val = DirectionSection(spec, e, check=False).a(np.asarray(s, dtype=float))
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def big_a_e(spec: ModelSpec, e, s: float) -> float:
@@ -414,14 +408,8 @@ def w_e(spec: ModelSpec, e, s: float, tol: float = 1e-10) -> float:
 
 def grad_e_a(spec: ModelSpec, e, s):
     """Ambient gradient d a_e / d e_i = 2 (D(s) e)_i, analytic."""
-    e = check_unit(e)
-    d = spec.diffusivity
-    s_arr = np.asarray(s, dtype=float)
-    out = np.zeros((d.dim,) + s_arr.shape)
-    for i in range(d.dim):
-        for j in range(d.dim):
-            out[i] += 2.0 * e[j] * d.entry(i, j)(s_arr)
-    return out if s_arr.ndim else out.reshape(d.dim)
+    s = np.asarray(s, dtype=float)
+    return np.stack([g(s) for g in DirectionSection(spec, e, check=False).grad_a_polys])
 
 
 def grad_e_w(spec: ModelSpec, e, s: float) -> np.ndarray:

@@ -8,6 +8,11 @@ to the monotone first-order equation
 
 which is integrated by RK4 in both directions; the endpoint roots of W_e are
 handled by freezing the step once W_e drops below 1e-16.
+
+:func:`solve_standing_wave` is the one-direction path: a scalar Python march
+per half-line. :class:`ProfileTable` marches every direction of its angle grid
+at once, each half-line of each angle one lane of a numpy vector, with the
+same arithmetic per lane, so its rows equal the one-direction profiles.
 """
 
 from __future__ import annotations
@@ -99,20 +104,25 @@ def _integrate_half(slope, u_start: float, h: float, n: int, sign: float,
     return out
 
 
-def solve_standing_wave(spec: ModelSpec, e, z_max: float = 12.0,
-                        h_z: float = 1e-3) -> WaveProfile:
-    """Standing-wave profile U0(z; e) on the symmetric grid [-z_max, z_max]."""
+def _z_grid(z_max: float, h_z: float) -> tuple[int, np.ndarray]:
+    """Half-line step count n and the symmetric grid of 2n+1 nodes."""
     if z_max < 10.0:
         raise ConfigError("z_max must be at least 10")
     if h_z > 1e-2:
         raise ConfigError("h_z must be at most 1e-2")
+    n = int(round(z_max / h_z))
+    return n, (np.arange(2 * n + 1) - n) * h_z
+
+
+def solve_standing_wave(spec: ModelSpec, e, z_max: float = 12.0,
+                        h_z: float = 1e-3) -> WaveProfile:
+    """Standing-wave profile U0(z; e) on the symmetric grid [-z_max, z_max]."""
+    n, z = _z_grid(z_max, h_z)
     e = check_unit(e)
     sec = DirectionSection(spec, e)
     r = spec.reaction
     slope = _make_slope(sec)
 
-    n = int(round(z_max / h_z))
-    z = (np.arange(2 * n + 1) - n) * h_z
     up = _integrate_half(slope, r.alpha_mid, h_z, n, +1.0,
                          r.alpha_minus, r.alpha_plus)
     dn = _integrate_half(slope, r.alpha_mid, h_z, n, -1.0,
@@ -232,18 +242,84 @@ def linearized_residual(profile: WaveProfile, psi: np.ndarray, g) -> np.ndarray:
 # angular table for composed initial data
 # ---------------------------------------------------------------------------
 
-def _is_isotropic(spec: ModelSpec) -> bool:
-    d = spec.diffusivity
-    base = d.entry(0, 0)
-    for i in range(d.dim):
-        for j in range(d.dim):
-            want = base.coef if i == j else np.zeros(1)
-            have = d.entry(i, j).coef
-            m = max(len(want), len(have))
-            if not np.allclose(np.pad(want, (0, m - len(want))),
-                               np.pad(have, (0, m - len(have))), atol=1e-14):
-                return False
-    return True
+def _stack_high_first(coefs: list[tuple]) -> np.ndarray:
+    """(degree+1, lanes) Horner table, zero-padded at the high end."""
+    out = np.zeros((max(len(c) for c in coefs), len(coefs)))
+    for j, c in enumerate(coefs):
+        out[out.shape[0] - len(c):, j] = c
+    return out
+
+
+def _march_directions(spec: ModelSpec, thetas: np.ndarray, h_z: float,
+                      n: int) -> np.ndarray:
+    """Profiles along (cos theta, sin theta) for every theta; (m, 2n+1).
+
+    One RK4 march moves 2m lanes in lockstep: lane j < m runs the z > 0
+    half-line of thetas[j], lane m + j its z < 0 half-line. Each lane carries
+    its own step sign * h_z and Horner columns, and the arithmetic per lane
+    is that of ``_make_slope`` and ``_integrate_half``, so row j equals
+    ``solve_standing_wave`` along thetas[j].
+    """
+    r = spec.reaction
+    am, ap = r.alpha_minus, r.alpha_plus
+    m = len(thetas)
+    lanes = 2 * m
+    coefs = [DirectionSection(spec, (np.cos(th), np.sin(th))).slope_coefficients()
+             for th in thetas]
+    qc = np.tile(_stack_high_first([c[0] for c in coefs]), 2)
+    ac = np.tile(_stack_high_first([c[1] for c in coefs]), 2)
+    sign = np.repeat([1.0, -1.0], m)
+    hs = sign * h_z
+    half = 0.5 * hs
+    sixth = hs / 6.0
+
+    def lane_name(j):
+        side = "z > 0" if sign[j] > 0.0 else "z < 0"
+        return f"the {side} half-line of theta={thetas[j % m]:.15g}"
+
+    def slope(u):
+        t = (u - am) * (ap - u)
+        q = np.zeros(lanes)
+        for c in qc:
+            q = q * u + c
+        a = np.zeros(lanes)
+        for c in ac:
+            a = a * u + c
+        # the scalar freeze rules: t > 0 holds exactly for u inside the
+        # wells, and W = t*t*q >= W_FREEZE > 0 needs q > 0
+        live = (t > 0.0) & (t * t * q >= W_FREEZE)
+        num = t * np.sqrt(q, out=np.zeros(lanes), where=live)
+        return np.divide(num, a, out=np.zeros(lanes), where=live)
+
+    # each lane writes straight into its row, so no second copy of the
+    # table is held
+    u0 = np.empty((m, 2 * n + 1))
+    u0[:, n] = r.alpha_mid
+    u = np.full(lanes, r.alpha_mid)
+    for k in range(1, n + 1):
+        k1 = slope(u)
+        k2 = slope(u + half * k1)
+        k3 = slope(u + half * k2)
+        k4 = slope(u + hs * k3)
+        u_new = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stalled = sign * (u_new - u) < 0.0
+        if stalled.any():
+            j = int(np.flatnonzero(stalled)[0])
+            raise StallNearRoot(
+                f"non-monotone step {k} from u={u[j]:.15g} at "
+                f"z={(k - 1) * hs[j]:+.6g} on {lane_name(j)}")
+        u = np.minimum(np.maximum(u_new, am), ap)
+        u0[:, n + k] = u[:m]
+        u0[:, n - k] = u[m:]
+
+    gap = 0.1 * (ap - am)
+    short = np.where(sign > 0.0, ap - u, u - am) > gap
+    if short.any():
+        j = int(np.flatnonzero(short)[0])
+        raise ToleranceFailure(
+            f"profile did not approach the wells by z={n * hs[j]:+g} "
+            f"on {lane_name(j)} (endpoint {u[j]:.4f})")
+    return u0
 
 
 @dataclass
@@ -253,22 +329,14 @@ class ProfileTable:
     thetas: np.ndarray
     z: np.ndarray
     u0: np.ndarray          # (n_angles, n_z)
-    isotropic: bool
 
     @classmethod
     def build(cls, spec: ModelSpec, m_angles: int = 64, z_max: float = 12.0,
               h_z: float = 2e-3) -> "ProfileTable":
-        if _is_isotropic(spec):
-            prof = solve_standing_wave(spec, (1.0, 0.0), z_max, h_z)
-            return cls(np.zeros(1), prof.z, prof.u0[None, :], True)
+        """Rows U0(z; (cos theta, sin theta)) on m_angles equispaced angles."""
+        n, z = _z_grid(z_max, h_z)
         thetas = 2.0 * np.pi * np.arange(m_angles) / m_angles
-        rows = []
-        z = None
-        for th in thetas:
-            prof = solve_standing_wave(spec, (np.cos(th), np.sin(th)), z_max, h_z)
-            rows.append(prof.u0)
-            z = prof.z
-        return cls(thetas, z, np.array(rows), False)
+        return cls(thetas, z, _march_directions(spec, thetas, h_z, n))
 
     def evaluate(self, theta, z):
         """Bilinear lookup u0(theta, z), clamping z beyond the table range."""
@@ -279,9 +347,6 @@ class ProfileTable:
         pos = (z - self.z[0]) / h
         iz = np.clip(np.floor(pos).astype(int), 0, nz - 2)
         tz = np.clip(pos - iz, 0.0, 1.0)
-        if self.isotropic:
-            row = self.u0[0]
-            return row[iz] * (1 - tz) + row[iz + 1] * tz
         m = len(self.thetas)
         dth = 2.0 * np.pi / m
         posa = np.mod(theta, 2.0 * np.pi) / dth

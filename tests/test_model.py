@@ -108,6 +108,13 @@ def test_direction_section_rejects_wrong_dimension(e):
         DirectionSection(cubic_identity_model(), e)
 
 
+@pytest.mark.parametrize("fn", [a_e, grad_e_a], ids=["a_e", "grad_e_a"])
+@pytest.mark.parametrize("e", [(1.0,), (1.0, 0.0, 0.0)], ids=["short", "long"])
+def test_section_functions_reject_wrong_dimension(fn, e):
+    with pytest.raises(errors.NotUnit):
+        fn(cubic_identity_model(), e, 0.3)
+
+
 def test_big_a_and_w_identity_closed_forms():
     spec = cubic_identity_model()
     e = (1.0, 0.0)

@@ -5,10 +5,13 @@ from scipy.sparse.linalg import spsolve
 
 from phasefront import errors
 from phasefront.model import (
+    DirectionSection,
     ModelSpec,
     cubic_identity_model,
     cubic_reaction,
     diagonal_diffusivity,
+    polynomial_diffusivity,
+    rotated_diagonal_diffusivity,
 )
 from phasefront.profile import (
     ProfileTable,
@@ -68,12 +71,22 @@ def test_tail_is_log_linear(identity_profile):
     assert prof.decay_rate == pytest.approx(SQ2, rel=1e-3)
 
 
-def test_grid_preconditions():
+def test_grid_preconditions(monkeypatch):
     spec = cubic_identity_model()
     with pytest.raises(errors.ConfigError):
         solve_standing_wave(spec, E1, z_max=5.0)
     with pytest.raises(errors.ConfigError):
         solve_standing_wave(spec, E1, h_z=0.05)
+
+    # the table checks its grid before it builds a section or marches
+    def no_march(*args, **kwargs):
+        raise AssertionError("table marched on a rejected grid")
+
+    monkeypatch.setattr(DirectionSection, "slope_coefficients", no_march)
+    with pytest.raises(errors.ConfigError):
+        ProfileTable.build(spec, m_angles=4, z_max=5.0)
+    with pytest.raises(errors.ConfigError):
+        ProfileTable.build(spec, m_angles=4, h_z=0.05)
 
 
 def test_solvability_residual_values(identity_profile):
@@ -234,13 +247,51 @@ def test_direction_derivative_decay_envelope(diag_model):
 
 def test_profile_table_isotropic_and_anisotropic(diag_model):
     iso = ProfileTable.build(cubic_identity_model(), m_angles=8)
-    assert iso.isotropic and iso.u0.shape[0] == 1
+    assert iso.u0.shape[0] == 8
+    assert all(row.tobytes() == iso.u0[0].tobytes() for row in iso.u0)
     z = np.linspace(-6, 6, 101)
     vals = iso.evaluate(np.full_like(z, 1.234), z)
     assert np.abs(vals - np.tanh(z / SQ2)).max() <= 1e-5
 
     tab = ProfileTable.build(diag_model, m_angles=16)
-    assert not tab.isotropic
     # along theta = pi/2 the profile is tanh(z/2)
     vals = tab.evaluate(np.full_like(z, np.pi / 2), z)
     assert np.abs(vals - np.tanh(z / 2.0)).max() <= 1e-5
+
+
+@pytest.mark.parametrize("diffusivity", [
+    diagonal_diffusivity([1.0, 2.0]),
+    rotated_diagonal_diffusivity(0.7, [1.0, 1.8]),
+    polynomial_diffusivity([[[1.2, 0.0, 0.1], [0.2, 0.0, 0.05]],
+                            [[0.2, 0.0, 0.05], [0.9, 0.0, -0.05]]]),
+], ids=["diag", "rotated-constant", "polynomial-cross"])
+def test_table_rows_match_scalar_march(diffusivity):
+    spec = ModelSpec(cubic_reaction(), diffusivity, 0.02)
+    tab = ProfileTable.build(spec, m_angles=16)
+    for th, row in zip(tab.thetas, tab.u0):
+        prof = solve_standing_wave(spec, (np.cos(th), np.sin(th)), h_z=2e-3)
+        assert row.tobytes() == prof.u0.tobytes()
+    assert tab.z.tobytes() == prof.z.tobytes()
+
+
+@pytest.mark.parametrize("patched_ac, exc", [
+    # a_e(u) = 1 - 2u turns negative above u = 1/2, so only the z > 0
+    # half-line of the patched direction stops being monotone
+    ((-2.0, 1.0), errors.StallNearRoot),
+    # a_e = 1e4 slows both half-lines; the z > 0 lane is named first
+    ((1e4,), errors.ToleranceFailure),
+], ids=["stall", "short"])
+def test_table_failure_names_its_lane(monkeypatch, patched_ac, exc):
+    spec = cubic_identity_model()
+    thetas = 2.0 * np.pi * np.arange(8) / 8
+    bad = np.array([np.cos(thetas[3]), np.sin(thetas[3])])
+    coefficients = DirectionSection.slope_coefficients
+
+    def patched(self):
+        qc, ac, am, ap = coefficients(self)
+        return qc, (patched_ac if np.array_equal(self.e, bad) else ac), am, ap
+
+    monkeypatch.setattr(DirectionSection, "slope_coefficients", patched)
+    with pytest.raises(exc) as info:
+        ProfileTable.build(spec, m_angles=8)
+    assert f"z > 0 half-line of theta={thetas[3]:.15g}" in str(info.value)
