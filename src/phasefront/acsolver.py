@@ -286,17 +286,6 @@ def random_smooth_field(grid: Grid, rng, amplitude: float = 0.5,
     return ScalarField(grid, offset + vals)
 
 
-def softstep_circle_field(grid: Grid, spec: ModelSpec, center, r: float,
-                          width: float) -> ScalarField:
-    """Step-softened disk: low phase inside the circle, high outside."""
-    x, y = grid.cell_centers()
-    d = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2) - r
-    rct = spec.reaction
-    mid = 0.5 * (rct.alpha_plus + rct.alpha_minus)
-    half = 0.5 * (rct.alpha_plus - rct.alpha_minus)
-    return ScalarField(grid, mid + half * np.tanh(d / width))
-
-
 # ---------------------------------------------------------------------------
 # field dumps: raw little-endian float64, row-major, with a JSON sidecar
 # ---------------------------------------------------------------------------

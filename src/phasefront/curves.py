@@ -81,40 +81,6 @@ def ellipse_curve(center, a: float, b: float, n: int) -> FrontCurve:
     return curve_from_points(pts)
 
 
-def rounded_square_curve(center, half: float, corner_r: float, n_per_side: int = 32,
-                         n_per_corner: int = 16) -> FrontCurve:
-    """Axis-aligned square with circular corner fillets, counterclockwise."""
-    cx, cy = center
-    f = half - corner_r
-    pts = []
-    corners = [(cx + f, cy + f, 0.0), (cx - f, cy + f, 0.5 * np.pi),
-               (cx - f, cy - f, np.pi), (cx + f, cy - f, 1.5 * np.pi)]
-    for i, (qx, qy, th0) in enumerate(corners):
-        for t in np.linspace(0, 0.5 * np.pi, n_per_corner, endpoint=False):
-            pts.append((qx + corner_r * np.cos(th0 + t), qy + corner_r * np.sin(th0 + t)))
-        nxt = corners[(i + 1) % 4]
-        start = np.array([qx + corner_r * np.cos(th0 + 0.5 * np.pi),
-                          qy + corner_r * np.sin(th0 + 0.5 * np.pi)])
-        stop = np.array([nxt[0] + corner_r * np.cos(nxt[2]),
-                         nxt[1] + corner_r * np.sin(nxt[2])])
-        for t in np.linspace(0.0, 1.0, n_per_side, endpoint=False):
-            pts.append(tuple(start + t * (stop - start)))
-    return curve_from_points(np.array(pts))
-
-
-def translate_curve(curve: FrontCurve, vec) -> FrontCurve:
-    return replace(curve, vertices=curve.vertices + np.asarray(vec, dtype=float),
-                   normals=None, curvature=None)
-
-
-def rotate_curve(curve: FrontCurve, angle: float, center=(0.5, 0.5)) -> FrontCurve:
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    ctr = np.asarray(center, dtype=float)
-    return replace(curve, vertices=(curve.vertices - ctr) @ rot.T + ctr,
-                   normals=None, curvature=None)
-
-
 # ---------------------------------------------------------------------------
 # lengths, areas, geometry
 # ---------------------------------------------------------------------------
@@ -131,15 +97,6 @@ def enclosed_area(curve: FrontCurve) -> float:
     p = curve.vertices
     q = np.roll(p, -1, axis=0)
     return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
-
-
-def turning_number(curve: FrontCurve) -> float:
-    loop = curve.closed_loop()
-    d = np.diff(loop, axis=0)
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    turns = np.diff(np.concatenate([ang, ang[:1]]))
-    turns = (turns + np.pi) % (2.0 * np.pi) - np.pi
-    return float(np.sum(turns) / (2.0 * np.pi))
 
 
 def _chord_fit(curve: FrontCurve):

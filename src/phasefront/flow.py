@@ -40,6 +40,7 @@ from .errors import (
     Extinction,
     GradientDegeneracy,
     NoContour,
+    PhasefrontError,
     SelfIntersection,
 )
 from .mobility import MobilityTensor
@@ -91,21 +92,33 @@ def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float) -> FrontC
     return geometry(cur, checked=False)
 
 
-def evolve_front(curve: FrontCurve, mobility: MobilityTensor, t_end: float,
-                 dt: float, checkpoints=None) -> list[tuple[float, FrontCurve]]:
-    """March to t_end in outer steps of dt, landing exactly on checkpoints."""
+def _march(state, advance, t_end: float, dt: float, checkpoints, where) -> list:
+    """(t, state) at each checkpoint and t_end, marching advance(state, h) in
+    steps h <= dt that land exactly on them. A step's error is re-raised as
+    its own type, naming t, the step index and where(state) before it."""
     targets = sorted(set(float(c) for c in (checkpoints or [])) | {float(t_end)})
-    if targets and (targets[0] < 0.0 or targets[-1] > t_end):
+    if targets[0] < 0.0 or targets[-1] > t_end:
         raise ConfigError("checkpoints must lie in [0, t_end]")
-    out = []
-    cur, t = curve, 0.0
+    out, t, steps = [], 0.0, 0
     for target in targets:
         while t < target - 1e-14:
             sub = min(dt, target - t)
-            cur = step_front(cur, mobility, sub)
+            steps += 1
+            try:
+                state = advance(state, sub)
+            except PhasefrontError as exc:
+                raise type(exc)(f"{exc} at t = {t:g}, step {steps}, "
+                                f"{where(state)}") from exc
             t += sub
-        out.append((target, cur))
+        out.append((target, state))
     return out
+
+
+def evolve_front(curve: FrontCurve, mobility: MobilityTensor, t_end: float,
+                 dt: float, checkpoints=None) -> list[tuple[float, FrontCurve]]:
+    """March to t_end in outer steps of dt, landing exactly on checkpoints."""
+    return _march(curve, lambda c, h: step_front(c, mobility, h), t_end, dt,
+                  checkpoints, lambda c: f"{c.n_vertices} markers")
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +281,13 @@ def step_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
 def evolve_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
                      t_end: float, dt: float | None = None,
                      checkpoints=None) -> list[tuple[float, SignedDistanceField]]:
+    """March to t_end in steps of dt (default ``level_set_dt``), landing
+    exactly on checkpoints."""
     if dt is None:
         dt = level_set_dt(mobility, sdf.grid)
-    targets = sorted(set(float(c) for c in (checkpoints or [])) | {float(t_end)})
-    if targets[0] < 0.0 or targets[-1] > t_end:
-        raise ConfigError("checkpoints must lie in [0, t_end]")
-    out = []
-    cur, t = sdf.copy(), 0.0
-    for target in targets:
-        while t < target - 1e-14:
-            sub = min(dt, target - t)
-            cur = step_level_set(cur, mobility, sub)
-            t += sub
-        out.append((target, cur.copy()))
-    return out
+    history = _march(sdf, lambda d, h: step_level_set(d, mobility, h), t_end, dt,
+                     checkpoints, lambda d: f"grid n = {d.grid.n}")
+    return [(t, d.copy()) for t, d in history]
 
 
 def zero_contour(sdf: SignedDistanceField) -> FrontCurve:

@@ -20,9 +20,10 @@ V_n = -kappa w(n) with the scalar tangential weight
     w(n) = tau . mu(n) tau,    tau = (-n_y, n_x),
 
 and ``MobilityTensor.tangential_weight`` is the one place that forms it.
-``tabulate_mobility`` samples (lambda, mu) at equispaced angles and fits one
-vector-valued periodic cubic spline through them; ``weight_lookup``
-tabulates w densely for the level-set step.
+``mu_tensor`` serves a stack of directions with one stacked section and one
+``gauss_adaptive_vec`` call; ``tabulate_mobility`` makes that call once for
+all its equispaced angles and fits one vector-valued periodic cubic spline
+through them; ``weight_lookup`` tabulates w densely for the level-set step.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from .quadrature import gauss_adaptive, gauss_adaptive_vec
 
 
 class MobilityValues(NamedTuple):
-    lam: float
+    """Each field has the leading shape (...) of the directions (..., n)."""
+
+    lam: float | np.ndarray
     mu1: np.ndarray
     mu2: np.ndarray
     mu: np.ndarray
@@ -55,60 +58,45 @@ def _section(spec: ModelSpec, e) -> DirectionSection:
     try:
         return DirectionSection(spec, e)
     except (EquipotentialViolated, NegativeW) as exc:
-        raise SingularEndpoint(
-            f"mobility integrand is not integrable for e={np.asarray(e)}: {exc}"
-        ) from exc
+        raise SingularEndpoint(f"mobility integrand is not integrable: {exc}") from exc
 
 
-def lambda_e(spec: ModelSpec, e, tol: float = 1e-10) -> float:
+def lambda_e(spec: ModelSpec, e) -> float:
     """Line tension lambda(e) = int sqrt(W_e(s)) ds > 0."""
     sec = _section(spec, e)
-    lam = gauss_adaptive(sec.sqrt_w, sec.alpha_minus, sec.alpha_plus, tol)
-    return float(lam)
+    return gauss_adaptive(sec.sqrt_w, sec.alpha_minus, sec.alpha_plus)
 
 
-def mu_tensor(spec: ModelSpec, e, tol: float = 1e-10) -> MobilityValues:
-    """Evaluate (lambda, mu1, mu2, mu) at one unit direction."""
-    e = check_unit(e)
+def mu_tensor(spec: ModelSpec, e) -> MobilityValues:
+    """Evaluate (lambda, mu1, mu2, mu) at a unit direction or a stack of them."""
     sec = _section(spec, e)
     d = spec.diffusivity
     n = d.dim
+    lead = sec.e.shape[:-1]
 
     def stacked(s: np.ndarray) -> np.ndarray:
-        sw = sec.sqrt_w(s)
-        rows = [sw]
-        for i in range(n):
-            for j in range(i, n):
-                rows.append(d.entry(i, j)(s) * sw)
+        # rows per direction: sqrt(W), D_ij sqrt(W), sqrt(W) R_i (da_j - a R_j / 2)
+        sw = sec.sqrt_w(s)[..., None, None, :]
         ratio = sec.tan_ratio(s)
-        tga = sec.tan_grad_a(s)
-        av = sec.a(s)
-        right = tga - 0.5 * av * ratio      # (n, len(s))
-        for i in range(n):
-            for j in range(n):
-                rows.append(sw * ratio[i] * right[j])
-        return np.vstack(rows)
+        right = sec.tan_grad_a(s) - 0.5 * sec.a(s)[..., None, :] * ratio
+        rows = np.concatenate([
+            sw[..., 0, :],
+            (d.d_matrix(s) * sw).reshape(lead + (n * n, len(s))),
+            (sw * ratio[..., :, None, :] * right[..., None, :, :]).reshape(
+                lead + (n * n, len(s)))], axis=-2)
+        return rows.reshape(-1, len(s))
 
-    vals = gauss_adaptive_vec(stacked, sec.alpha_minus, sec.alpha_plus, tol)
-    lam = float(vals[0])
-    if lam <= 0.0:
-        raise SingularEndpoint(f"lambda(e) = {lam:.3e} is not positive")
-
-    mu1 = np.empty((n, n))
-    k = 1
-    for i in range(n):
-        for j in range(i, n):
-            mu1[i, j] = mu1[j, i] = vals[k] / lam
-            k += 1
-    mu2 = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            mu2[i, j] = -0.5 * vals[k] / lam
-            k += 1
-    return MobilityValues(lam, mu1, mu2, mu1 + mu2)
+    vals = gauss_adaptive_vec(stacked, sec.alpha_minus, sec.alpha_plus)
+    vals = vals.reshape(lead + (1 + 2 * n * n,))
+    lam = vals[..., 0]
+    sec.raise_first(lam <= 0.0, SingularEndpoint, lam,
+                    "lambda(e) = {:.3e} is not positive")
+    mu1 = vals[..., 1:1 + n * n].reshape(lead + (n, n)) / lam[..., None, None]
+    mu2 = -0.5 * vals[..., 1 + n * n:].reshape(lead + (n, n)) / lam[..., None, None]
+    return MobilityValues(lam[()], mu1, mu2, mu1 + mu2)
 
 
-def tangential_form(spec: ModelSpec, e, eta, tol: float = 1e-10) -> float:
+def tangential_form(spec: ModelSpec, e, eta) -> float:
     """Quadratic form eta . (lambda mu)(e) eta for a unit tangent eta."""
     e = check_unit(e)
     eta = np.asarray(eta, dtype=float)
@@ -116,11 +104,11 @@ def tangential_form(spec: ModelSpec, e, eta, tol: float = 1e-10) -> float:
         raise NotTangential(f"|eta| = {np.linalg.norm(eta):.12f} is not 1")
     if abs(float(np.dot(e, eta))) > 1e-9:
         raise NotTangential(f"e . eta = {float(np.dot(e, eta)):.3e} is not 0")
-    vals = mu_tensor(spec, e, tol)
+    vals = mu_tensor(spec, e)
     return float(vals.lam * eta @ vals.mu @ eta)
 
 
-def tangential_lower_bound(spec: ModelSpec, e, tol: float = 1e-10) -> float:
+def tangential_lower_bound(spec: ModelSpec, e) -> float:
     """Certified lower bound int min_eig(D(s)) sqrt(W_e(s)) ds for the form."""
     sec = _section(spec, e)
     d = spec.diffusivity
@@ -130,7 +118,7 @@ def tangential_lower_bound(spec: ModelSpec, e, tol: float = 1e-10) -> float:
         dmin = np.linalg.eigvalsh(mats)[:, 0]
         return dmin * sec.sqrt_w(s)
 
-    return float(gauss_adaptive(integrand, sec.alpha_minus, sec.alpha_plus, tol))
+    return gauss_adaptive(integrand, sec.alpha_minus, sec.alpha_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +179,18 @@ class MobilityTensor:
                             - self.mu_table.transpose(0, 2, 1)).max())
 
 
-def tabulate_mobility(spec: ModelSpec, m_angles: int = 256,
-                      tol: float = 1e-10) -> MobilityTensor:
+def tabulate_mobility(spec: ModelSpec, m_angles: int = 256) -> MobilityTensor:
     """Evaluate the tensor at equispaced angles and fit one periodic spline."""
     if spec.diffusivity.dim != 2:
         raise ConfigError("angular tabulation is 2-D only")
     if m_angles < 64:
         raise ConfigError("m_angles must be at least 64")
     thetas = 2.0 * np.pi * np.arange(m_angles) / m_angles
-    lam = np.empty(m_angles)
-    mu = np.empty((m_angles, 2, 2))
-    for k, th in enumerate(thetas):
-        v = mu_tensor(spec, (np.cos(th), np.sin(th)), tol)
-        lam[k] = v.lam
-        mu[k] = v.mu
+    v = mu_tensor(spec, np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
 
     th_ext = np.concatenate([thetas, [2.0 * np.pi]])
-    stacked = np.column_stack([lam, mu.reshape(m_angles, 4)])
+    stacked = np.column_stack([v.lam, v.mu.reshape(m_angles, 4)])
     spline = CubicSpline(th_ext, np.vstack([stacked, stacked[:1]]),
                          bc_type="periodic", axis=0)
-    return MobilityTensor(thetas=thetas, lam_table=lam, mu_table=mu,
+    return MobilityTensor(thetas=thetas, lam_table=v.lam, mu_table=v.mu,
                           _spline=spline)

@@ -8,10 +8,11 @@ parameter s, so the section functions
     A_e(s) = int_{a-}^{s} a_e,
     W_e(s) = -2 int_{a-}^{s} a_e f,
 
-and their e-gradients have exact polynomial representations.
-:class:`DirectionSection` carries these forms, including the deflated ratios
-that make the endpoint behaviour of the mobility integrands numerically
-benign; the public ``big_a_e``/``w_e``/``grad_e_w`` operations evaluate them.
+and their e-gradients have exact polynomial representations: contractions of
+e with the coefficient tensor of D, then three fixed coefficient maps (to W,
+and to the quotient and remainder of W by (s-a-)^2 (a+-s)^2).
+:class:`DirectionSection` holds these coefficient arrays for one direction or
+a stack of them; the public ``a_e``/``w_e``/... operations evaluate one.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 
 from .errors import (
     ConfigError,
@@ -34,6 +36,10 @@ from .errors import (
 _UNIT_TOL = 1e-9
 # relative remainder above which W_e is taken not to vanish doubly at a well
 _DEFLATE_TOL = 1e-6
+W_TOL = 1e-10               # w_e raises NegativeW below -W_TOL between the wells
+S_SAMPLES = 1024            # s samples of eig_bounds and the ellipticity check
+VALIDATION_DIRECTIONS = 256  # seeded directions of the ellipticity check
+VALIDATION_SEED = 0
 
 
 def _as_poly(coeffs) -> Polynomial:
@@ -45,16 +51,35 @@ def _as_poly(coeffs) -> Polynomial:
 
 
 def check_unit(e) -> np.ndarray:
-    """Return e as a float vector, raising NotUnit if it is off the sphere."""
-    e = np.asarray(e, dtype=float)
-    if not abs(np.linalg.norm(e) - 1.0) <= _UNIT_TOL:
-        raise NotUnit(f"direction {e} has |e| = {np.linalg.norm(e):.12f}")
+    """Return e as a float array of directions along its last axis, raising
+    NotUnit for the first one that is off the sphere."""
+    e = np.atleast_1d(np.asarray(e, dtype=float))
+    norm = np.linalg.norm(e, axis=-1)
+    off = np.flatnonzero(~(np.abs(norm - 1.0) <= _UNIT_TOL))
+    if off.size:
+        raise NotUnit(f"direction {e.reshape(-1, e.shape[-1])[off[0]]} has "
+                      f"|e| = {norm.flat[off[0]]:.12f}")
     return e
 
 
-def _integ_from(p: Polynomial, lower: float) -> Polynomial:
-    prim = p.integ()
-    return prim - prim(lower)
+def _horner(coef: np.ndarray, s):
+    """Values at s of ascending coefficients along the last axis of coef;
+    shape coef.shape[:-1] + s.shape."""
+    s = np.asarray(s, dtype=float)
+    c = coef.reshape(coef.shape[:-1] + (1,) * s.ndim + coef.shape[-1:])
+    out = c[..., -1] + 0.0 * s
+    for k in range(coef.shape[-1] - 2, -1, -1):
+        out = out * s + c[..., k]
+    return out
+
+
+def _apply(x: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """sum_k x[..., k] (outer) maps[k], one product per k in a fixed order.
+
+    Only elementwise products and sums, so a row of a stacked x comes out
+    with the same bytes as that row alone (a matmul would not).
+    """
+    return sum(np.multiply.outer(x[..., k], maps[k]) for k in range(len(maps)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +180,6 @@ class DiffusivitySpec:
 
     entries: tuple[tuple[Polynomial, ...], ...]
     dim: int
-    c_lower: float | None = None
-    c_upper: float | None = None
 
     def __post_init__(self):
         n = self.dim
@@ -171,18 +194,19 @@ class DiffusivitySpec:
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
 
+    def coefficients(self) -> np.ndarray:
+        """(N, N, p) ascending coefficients of the entries, zero-padded."""
+        p = max(len(c.coef) for row in self.entries for c in row)
+        return np.array([[np.pad(c.coef, (0, p - len(c.coef))) for c in row]
+                         for row in self.entries])
+
     def d_matrix(self, s):
         """D(s); shape (N, N) for scalar s, (N, N) + s.shape for arrays."""
-        s = np.asarray(s, dtype=float)
-        out = np.empty((self.dim, self.dim) + s.shape)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i, j] = self.entries[i][j](s)
-        return out
+        return _horner(self.coefficients(), s)
 
-    def eig_bounds(self, lo: float, hi: float, n_samples: int = 1024):
+    def eig_bounds(self, lo: float, hi: float):
         """Sampled (min, max) eigenvalues of D(s) over [lo, hi]."""
-        s = np.linspace(lo, hi, n_samples)
+        s = np.linspace(lo, hi, S_SAMPLES)
         mats = np.moveaxis(self.d_matrix(s), -1, 0)
         eigs = np.linalg.eigvalsh(mats)
         return float(eigs.min()), float(eigs.max())
@@ -266,10 +290,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise ConfigError("epsilon must be positive")
-        lo, hi = self.validation_range
-        cl, cu = self.diffusivity.c_lower, self.diffusivity.c_upper
-        if cl is None or cu is None:
-            cl, cu = self.diffusivity.eig_bounds(lo, hi)
+        cl, cu = self.diffusivity.eig_bounds(*self.validation_range)
         object.__setattr__(self, "c_lower", cl)
         object.__setattr__(self, "c_upper", cu)
 
@@ -323,12 +344,12 @@ class ValidationReport:
         raise exc(msg)
 
 
-def validate_model(spec: ModelSpec, n_samples: int = 1024, tol: float = 1e-8,
-                   n_directions: int = 256, seed: int = 0) -> ValidationReport:
+def validate_model(spec: ModelSpec, tol: float = 1e-8) -> ValidationReport:
     """Check the bistable, ellipticity, and equipotential conditions.
 
-    Sampling is deterministic: s on a uniform grid over the validation range,
-    directions from a seeded generator.
+    Sampling is deterministic: s on a uniform grid of S_SAMPLES over the
+    validation range, VALIDATION_DIRECTIONS directions from a generator
+    seeded with VALIDATION_SEED.
     """
     r, d = spec.reaction, spec.diffusivity
     failures: list[tuple[str, str]] = []
@@ -345,9 +366,9 @@ def validate_model(spec: ModelSpec, n_samples: int = 1024, tol: float = 1e-8,
         failures.append(("non-bistable", f"f' signs at roots are {signs}"))
 
     lo, hi = spec.validation_range
-    s_grid = np.linspace(lo, hi, n_samples)
-    rng = np.random.default_rng(seed)
-    eta = rng.normal(size=(n_directions, d.dim))
+    s_grid = np.linspace(lo, hi, S_SAMPLES)
+    rng = np.random.default_rng(VALIDATION_SEED)
+    eta = rng.normal(size=(VALIDATION_DIRECTIONS, d.dim))
     eta /= np.linalg.norm(eta, axis=1, keepdims=True)
     dmats = np.moveaxis(d.d_matrix(s_grid), -1, 0)          # (n_samples, N, N)
     forms = np.einsum("sij,ki,kj->sk", dmats, eta, eta)
@@ -384,146 +405,132 @@ def validate_model(spec: ModelSpec, n_samples: int = 1024, tol: float = 1e-8,
 
 def a_e(spec: ModelSpec, e, s):
     """e . D(s) e for a unit direction e."""
-    val = DirectionSection(spec, e, check=False).a(np.asarray(s, dtype=float))
+    val = DirectionSection(spec, e, check=False).a(s)
     return float(val) if np.ndim(val) == 0 else val
 
 
 def big_a_e(spec: ModelSpec, e, s: float) -> float:
     """A_e(s): integral of a_e from alpha_minus, exact."""
     sec = DirectionSection(spec, e, check=False)
-    return float(_integ_from(sec.a_poly, spec.reaction.alpha_minus)(s))
+    return float(_horner(P.polyint(sec.a_coef, lbnd=sec.alpha_minus, axis=-1), s))
 
 
-def w_e(spec: ModelSpec, e, s: float, tol: float = 1e-10) -> float:
+def w_e(spec: ModelSpec, e, s: float) -> float:
     """W_e(s) = -2 int a_e f from alpha_minus, exact.
 
-    Raises NegativeW if W_e(s) < -tol for s strictly between the wells.
+    Raises NegativeW if W_e(s) < -W_TOL for s strictly between the wells.
     """
     r = spec.reaction
     val = float(DirectionSection(spec, e, check=False).w(s))
-    if r.alpha_minus < s < r.alpha_plus and val < -tol:
+    if r.alpha_minus < s < r.alpha_plus and val < -W_TOL:
         raise NegativeW(f"W_e({s}) = {val:.3e} < 0 inside the well interval")
     return val
 
 
 def grad_e_a(spec: ModelSpec, e, s):
     """Ambient gradient d a_e / d e_i = 2 (D(s) e)_i, analytic."""
-    s = np.asarray(s, dtype=float)
-    return np.stack([g(s) for g in DirectionSection(spec, e, check=False).grad_a_polys])
+    return _horner(DirectionSection(spec, e, check=False).grad_a_coef, s)
 
 
 def grad_e_w(spec: ModelSpec, e, s: float) -> np.ndarray:
     """Ambient gradient of W_e at s: -2 int grad_e_a * f, exact."""
-    sec = DirectionSection(spec, e, check=False)
-    return np.array([float(g(s)) for g in sec.grad_w_polys])
+    return _horner(DirectionSection(spec, e, check=False).grad_w_coef, s)
 
 
 # ---------------------------------------------------------------------------
-# per-direction polynomial cache
+# coefficient arrays over a stack of directions
 # ---------------------------------------------------------------------------
-
-def _deflate(p: Polynomial, roots: Sequence[float]) -> tuple[Polynomial, float]:
-    """Divide out (s - r) for each r, returning quotient and max remainder."""
-    q = p
-    worst = 0.0
-    for r in roots:
-        q, rem = divmod(q, Polynomial([-r, 1.0]))
-        if rem.coef.size:
-            worst = max(worst, abs(float(rem.coef[0])))
-    return q, worst
-
 
 class DirectionSection:
-    """Exact polynomial forms of a_e, W_e and their e-gradients for one e.
+    """Exact coefficients of a_e, W_e and their e-gradients for a unit
+    direction e of shape (n,) or a stack of directions of shape (..., n).
 
-    The deflated quotients q = W_e / ((s-a-)^2 (a+-s)^2) and the analogous
-    quotients of the tangential W-gradients stay smooth and sign-definite
-    through the double roots at the wells, so ratios like grad W_e / W_e are
-    evaluated without cancellation.
+    Each ``*_coef`` array holds ascending powers of s on its last axis, after
+    the leading axes of e and, for gradients, the component axis i. The
+    quotients q = W_e / ((s-a-)^2 (a+-s)^2) and tan_grad_q of the tangential
+    W-gradients stay smooth and sign-definite through the double roots at the
+    wells, so ratios like grad W_e / W_e are evaluated without cancellation.
+    A row of a stack equals, byte for byte, the section of its direction.
     """
 
     def __init__(self, spec: ModelSpec, e, *, check: bool = True):
         e = check_unit(e)
-        self.spec = spec
-        self.e = e
         r, d = spec.reaction, spec.diffusivity
         n = d.dim
-        if e.shape != (n,):
+        if e.shape[-1:] != (n,):
             raise NotUnit(f"direction {e} is not a unit {n}-vector")
-        self.alpha_minus, self.alpha_plus = r.alpha_minus, r.alpha_plus
+        self.e = e
+        am, ap = self.alpha_minus, self.alpha_plus = r.alpha_minus, r.alpha_plus
 
-        a_poly = Polynomial([0.0])
-        for i in range(n):
-            for j in range(n):
-                a_poly = a_poly + (e[i] * e[j]) * d.entry(i, j)
-        self.a_poly = a_poly
-        self.w_poly = -2.0 * _integ_from(a_poly * r.poly, r.alpha_minus)
+        # the three coefficient maps, one row per unit coefficient vector
+        cd = d.coefficients()
+        p, size = cd.shape[-1], cd.shape[-1] + len(r.poly.coef)
+        eye = np.eye(size)
+        w_rows = [-2.0 * P.polyint(P.polymul(eye[k, :p], r.poly.coef), lbnd=am)
+                  for k in range(p)]
+        w_map = np.array([np.pad(c, (0, size - len(c))) for c in w_rows])
+        div = [P.polydiv(u, P.polyfromroots([am, am, ap, ap])) for u in eye]
+        q_map = np.array([np.pad(q, (0, size - 4 - len(q))) for q, _ in div])
+        rem_map = np.array([np.pad(rem, (0, 4 - len(rem))) for _, rem in div])
 
-        self.grad_a_polys = []
-        self.grad_w_polys = []
-        for i in range(n):
-            g = Polynomial([0.0])
-            for j in range(n):
-                g = g + (2.0 * e[j]) * d.entry(i, j)
-            self.grad_a_polys.append(g)
-            self.grad_w_polys.append(-2.0 * _integ_from(g * r.poly, r.alpha_minus))
+        # D e, then a_e = e . D e and its sphere-tangential gradient
+        de = _apply(e, cd.swapaxes(0, 1))
+        self.grad_a_coef = 2.0 * de
+        self.a_coef = sum(e[..., i, None] * de[..., i, :] for i in range(n))
+        # e . grad a_e = 2 a_e, so the tangential part drops 2 a_e e
+        normal = e[..., None] * (2.0 * self.a_coef)[..., None, :]
+        self.tan_grad_a_coef = self.grad_a_coef - normal
+        self.w_coef = _apply(self.a_coef, w_map)
+        self.grad_w_coef = _apply(self.grad_a_coef, w_map)
+        tan_grad_w = _apply(self.tan_grad_a_coef, w_map)
+        self.q_coef = _apply(self.w_coef, q_map)
+        self.tan_grad_q_coef = _apply(tan_grad_w, q_map)
+        if not check:
+            return
 
-        proj = np.eye(n) - np.outer(e, e)
-        self.tan_grad_a_polys = [sum((proj[i, k] * self.grad_a_polys[k]
-                                      for k in range(n)), Polynomial([0.0]))
-                                 for i in range(n)]
-        self.tan_grad_w_polys = [sum((proj[i, k] * self.grad_w_polys[k]
-                                      for k in range(n)), Polynomial([0.0]))
-                                 for i in range(n)]
+        scale = np.maximum(np.abs(self.w_coef).max(axis=-1), 1e-30)
+        rem = np.abs(_apply(self.w_coef, rem_map)).max(axis=-1)
+        self.raise_first(rem > _DEFLATE_TOL * scale, EquipotentialViolated, rem,
+                         "W_e does not vanish doubly at the wells (residual {:.3e}); "
+                         "model fails the equipotential condition")
+        tan_rem = np.abs(_apply(tan_grad_w, rem_map)).max(axis=-1)
+        tan_scale = np.maximum(scale[..., None], np.abs(tan_grad_w).max(axis=-1))
+        self.raise_first((tan_rem > _DEFLATE_TOL * tan_scale).any(axis=-1),
+                         EquipotentialViolated, tan_rem.max(axis=-1),
+                         "tangential W-gradient residual {:.3e} at the wells")
+        q_min = _horner(self.q_coef, np.linspace(am, ap, 513)).min(axis=-1)
+        self.raise_first(q_min <= 0.0, NegativeW, q_min,
+                         "deflated well potential reaches {:.3e} <= 0")
 
-        ends = [r.alpha_minus, r.alpha_minus, r.alpha_plus, r.alpha_plus]
-        scale = max(1e-30, float(np.abs(self.w_poly.coef).max()))
-        self.q_poly, rem = _deflate(self.w_poly, ends)
-        if check and rem > _DEFLATE_TOL * scale:
-            raise EquipotentialViolated(
-                f"W_e does not vanish doubly at the wells (residual {rem:.3e}); "
-                "model fails the equipotential condition")
-        self.tan_grad_q_polys = []
-        for g in self.tan_grad_w_polys:
-            gq, grem = _deflate(g, ends)
-            if check and grem > _DEFLATE_TOL * max(scale, float(np.abs(g.coef).max()) if g.coef.size else 0.0):
-                raise EquipotentialViolated(
-                    f"tangential W-gradient residual {grem:.3e} at the wells")
-            self.tan_grad_q_polys.append(gq)
+    def raise_first(self, bad: np.ndarray, exc: type, values: np.ndarray,
+                    message: str) -> None:
+        """Raise exc for the first direction flagged in bad, naming it and
+        formatting its entry of values into message; both have the shape of
+        the leading axes of e."""
+        if bad.any():
+            j = np.flatnonzero(bad)[0]
+            e = self.e.reshape(-1, self.e.shape[-1])[j]
+            raise exc(message.format(values.reshape(-1)[j]) + f" (direction {e})")
 
-        if check:
-            ss = np.linspace(r.alpha_minus, r.alpha_plus, 513)
-            qv = self.q_poly(ss)
-            if qv.min() <= 0.0:
-                raise NegativeW(
-                    f"deflated well potential reaches {qv.min():.3e} <= 0")
-
-    # -- evaluations (vectorized over s) --------------------------------------
+    # -- evaluations, shape (...) [+ (n,)] + s.shape --------------------------
 
     def a(self, s):
-        return self.a_poly(s)
+        return _horner(self.a_coef, s)
 
     def w(self, s):
-        return self.w_poly(s)
+        return _horner(self.w_coef, s)
 
     def sqrt_w(self, s):
         """sqrt(W_e) in the stable factored form, >= 0 on [a-, a+]."""
         s = np.asarray(s, dtype=float)
         t = (s - self.alpha_minus) * (self.alpha_plus - s)
-        return np.abs(t) * np.sqrt(np.maximum(self.q_poly(s), 0.0))
+        return np.abs(t) * np.sqrt(np.maximum(_horner(self.q_coef, s), 0.0))
 
     def tan_grad_a(self, s):
-        return np.stack([g(np.asarray(s, dtype=float)) for g in self.tan_grad_a_polys])
+        return _horner(self.tan_grad_a_coef, s)
 
     def tan_ratio(self, s):
         """Tangential grad W_e / W_e via the deflated quotients; finite at the wells."""
         s = np.asarray(s, dtype=float)
-        qv = self.q_poly(s)
-        return np.stack([g(s) / qv for g in self.tan_grad_q_polys])
-
-    # -- fast scalar path for the profile integrator --------------------------
-
-    def slope_coefficients(self):
-        """(q, a) coefficient tuples (highest power first) for Horner loops."""
-        return (tuple(self.q_poly.coef[::-1]), tuple(self.a_poly.coef[::-1]),
-                self.alpha_minus, self.alpha_plus)
+        qv = np.expand_dims(_horner(self.q_coef, s), -1 - s.ndim)
+        return _horner(self.tan_grad_q_coef, s) / qv

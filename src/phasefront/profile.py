@@ -12,7 +12,9 @@ handled by freezing the step once W_e drops below 1e-16.
 :func:`solve_standing_wave` is the one-direction path: a scalar Python march
 per half-line. :class:`ProfileTable` marches every direction of its angle grid
 at once, each half-line of each angle one lane of a numpy vector, with the
-same arithmetic per lane, so its rows equal the one-direction profiles.
+same arithmetic per lane and Horner columns from one stacked section whose
+rows equal the one-direction sections, so its rows equal the one-direction
+profiles.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class WaveProfile:
 
 
 def _make_slope(section: DirectionSection):
-    qc, ac, am, ap = section.slope_coefficients()
+    qc, ac = section.q_coef[::-1].tolist(), section.a_coef[::-1].tolist()
+    am, ap = section.alpha_minus, section.alpha_plus
 
     def slope(u: float) -> float:
         if u <= am or u >= ap:
@@ -242,14 +245,6 @@ def linearized_residual(profile: WaveProfile, psi: np.ndarray, g) -> np.ndarray:
 # angular table for composed initial data
 # ---------------------------------------------------------------------------
 
-def _stack_high_first(coefs: list[tuple]) -> np.ndarray:
-    """(degree+1, lanes) Horner table, zero-padded at the high end."""
-    out = np.zeros((max(len(c) for c in coefs), len(coefs)))
-    for j, c in enumerate(coefs):
-        out[out.shape[0] - len(c):, j] = c
-    return out
-
-
 def _march_directions(spec: ModelSpec, thetas: np.ndarray, h_z: float,
                       n: int) -> np.ndarray:
     """Profiles along (cos theta, sin theta) for every theta; (m, 2n+1).
@@ -264,10 +259,9 @@ def _march_directions(spec: ModelSpec, thetas: np.ndarray, h_z: float,
     am, ap = r.alpha_minus, r.alpha_plus
     m = len(thetas)
     lanes = 2 * m
-    coefs = [DirectionSection(spec, (np.cos(th), np.sin(th))).slope_coefficients()
-             for th in thetas]
-    qc = np.tile(_stack_high_first([c[0] for c in coefs]), 2)
-    ac = np.tile(_stack_high_first([c[1] for c in coefs]), 2)
+    sec = DirectionSection(spec, np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
+    qc = np.tile(sec.q_coef.T[::-1], 2)      # (degree+1, lanes), high first
+    ac = np.tile(sec.a_coef.T[::-1], 2)
     sign = np.repeat([1.0, -1.0], m)
     hs = sign * h_z
     half = 0.5 * hs

@@ -25,7 +25,7 @@ def _gl_nodes(order: int):
     return x, w
 
 
-def gauss_adaptive(f, a: float, b: float, tol: float = ABS_TOL) -> float:
+def gauss_adaptive(f, a: float, b: float) -> float:
     """Integrate a vectorized scalar callable; the one-row ``gauss_adaptive_vec``.
 
     The integrand must accept an ndarray of abscissae. An empty interval
@@ -33,15 +33,15 @@ def gauss_adaptive(f, a: float, b: float, tol: float = ABS_TOL) -> float:
     """
     if a == b:
         return 0.0
-    return float(gauss_adaptive_vec(lambda x: f(x)[np.newaxis], a, b, tol)[0])
+    return float(gauss_adaptive_vec(lambda x: f(x)[np.newaxis], a, b)[0])
 
 
-def gauss_adaptive_vec(f, a: float, b: float, tol: float = ABS_TOL) -> np.ndarray:
+def gauss_adaptive_vec(f, a: float, b: float) -> np.ndarray:
     """Order-doubling Gauss-Legendre for a stacked family of integrands.
 
     ``f(x)`` must return shape (k, len(x)); the result has shape (k,).
-    Convergence is declared when two consecutive orders agree within ``tol``
-    (absolute) in every component.
+    Convergence is declared when two consecutive orders agree within
+    ``ABS_TOL`` (absolute) in every component.
     """
     if a == b:
         raise QuadratureFailure("empty integration interval")
@@ -53,11 +53,11 @@ def gauss_adaptive_vec(f, a: float, b: float, tol: float = ABS_TOL) -> np.ndarra
         order *= 2
         x, w = _gl_nodes(order)
         cur = half * (f(mid + half * x) @ w)
-        if np.abs(cur - prev).max() <= tol:
+        if np.abs(cur - prev).max() <= ABS_TOL:
             return cur
         prev = cur
     raise QuadratureFailure(
-        f"Gauss-Legendre doubling did not reach tol={tol:g} by order {MAX_ORDER}")
+        f"Gauss-Legendre doubling did not reach tol={ABS_TOL:g} by order {MAX_ORDER}")
 
 
 def cumulative_trapezoid_from(y: np.ndarray, x: np.ndarray, i0: int) -> np.ndarray:

@@ -1,12 +1,19 @@
 """Shared oracle helpers for the test suite."""
 
+from dataclasses import replace
+from typing import Sequence
+
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
-from phasefront.curves import FrontCurve
-from phasefront.errors import QuadratureFailure
+from phasefront.acsolver import Grid, ScalarField
+from phasefront.curves import FrontCurve, curve_from_points
+from phasefront.errors import EquipotentialViolated, NegativeW, NotUnit, QuadratureFailure
 from phasefront.model import (
+    _DEFLATE_TOL,
     ModelSpec,
+    check_unit,
     cubic_reaction,
     polynomial_diffusivity,
 )
@@ -88,3 +95,171 @@ def brute_force_curve_distance(points: np.ndarray, curve: FrontCurve,
             best = np.minimum(best, dist2.min(axis=1))
         out[s:s + chunk] = np.sqrt(best)
     return out
+
+
+# ---------------------------------------------------------------------------
+# test-only initial data and curve transforms
+# ---------------------------------------------------------------------------
+
+def softstep_circle_field(grid: Grid, spec: ModelSpec, center, r: float,
+                          width: float) -> ScalarField:
+    """Step-softened disk: low phase inside the circle, high outside."""
+    x, y = grid.cell_centers()
+    d = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2) - r
+    rct = spec.reaction
+    mid = 0.5 * (rct.alpha_plus + rct.alpha_minus)
+    half = 0.5 * (rct.alpha_plus - rct.alpha_minus)
+    return ScalarField(grid, mid + half * np.tanh(d / width))
+
+
+def rounded_square_curve(center, half: float, corner_r: float, n_per_side: int = 32,
+                         n_per_corner: int = 16) -> FrontCurve:
+    """Axis-aligned square with circular corner fillets, counterclockwise."""
+    cx, cy = center
+    f = half - corner_r
+    pts = []
+    corners = [(cx + f, cy + f, 0.0), (cx - f, cy + f, 0.5 * np.pi),
+               (cx - f, cy - f, np.pi), (cx + f, cy - f, 1.5 * np.pi)]
+    for i, (qx, qy, th0) in enumerate(corners):
+        for t in np.linspace(0, 0.5 * np.pi, n_per_corner, endpoint=False):
+            pts.append((qx + corner_r * np.cos(th0 + t), qy + corner_r * np.sin(th0 + t)))
+        nxt = corners[(i + 1) % 4]
+        start = np.array([qx + corner_r * np.cos(th0 + 0.5 * np.pi),
+                          qy + corner_r * np.sin(th0 + 0.5 * np.pi)])
+        stop = np.array([nxt[0] + corner_r * np.cos(nxt[2]),
+                         nxt[1] + corner_r * np.sin(nxt[2])])
+        for t in np.linspace(0.0, 1.0, n_per_side, endpoint=False):
+            pts.append(tuple(start + t * (stop - start)))
+    return curve_from_points(np.array(pts))
+
+
+def translate_curve(curve: FrontCurve, vec) -> FrontCurve:
+    return replace(curve, vertices=curve.vertices + np.asarray(vec, dtype=float),
+                   normals=None, curvature=None)
+
+
+def rotate_curve(curve: FrontCurve, angle: float, center=(0.5, 0.5)) -> FrontCurve:
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    ctr = np.asarray(center, dtype=float)
+    return replace(curve, vertices=(curve.vertices - ctr) @ rot.T + ctr,
+                   normals=None, curvature=None)
+
+
+def turning_number(curve: FrontCurve) -> float:
+    loop = curve.closed_loop()
+    d = np.diff(loop, axis=0)
+    ang = np.arctan2(d[:, 1], d[:, 0])
+    turns = np.diff(np.concatenate([ang, ang[:1]]))
+    turns = (turns + np.pi) % (2.0 * np.pi) - np.pi
+    return float(np.sum(turns) / (2.0 * np.pi))
+
+
+# ---------------------------------------------------------------------------
+# reference section: one direction, numpy Polynomial arithmetic
+# ---------------------------------------------------------------------------
+
+def _integ_from(p: Polynomial, lower: float) -> Polynomial:
+    prim = p.integ()
+    return prim - prim(lower)
+
+
+def _deflate(p: Polynomial, roots: Sequence[float]) -> tuple[Polynomial, float]:
+    """Divide out (s - r) for each r, returning quotient and max remainder."""
+    q = p
+    worst = 0.0
+    for r in roots:
+        q, rem = divmod(q, Polynomial([-r, 1.0]))
+        if rem.coef.size:
+            worst = max(worst, abs(float(rem.coef[0])))
+    return q, worst
+
+
+class PolynomialSection:
+    """Reference section: exact ``Polynomial`` forms of a_e, W_e and their
+    e-gradients for one e, built one direction at a time.
+
+    The deflated quotients q = W_e / ((s-a-)^2 (a+-s)^2) and the analogous
+    quotients of the tangential W-gradients stay smooth and sign-definite
+    through the double roots at the wells, so ratios like grad W_e / W_e are
+    evaluated without cancellation.
+    """
+
+    def __init__(self, spec: ModelSpec, e, *, check: bool = True):
+        e = check_unit(e)
+        self.spec = spec
+        self.e = e
+        r, d = spec.reaction, spec.diffusivity
+        n = d.dim
+        if e.shape != (n,):
+            raise NotUnit(f"direction {e} is not a unit {n}-vector")
+        self.alpha_minus, self.alpha_plus = r.alpha_minus, r.alpha_plus
+
+        a_poly = Polynomial([0.0])
+        for i in range(n):
+            for j in range(n):
+                a_poly = a_poly + (e[i] * e[j]) * d.entry(i, j)
+        self.a_poly = a_poly
+        self.w_poly = -2.0 * _integ_from(a_poly * r.poly, r.alpha_minus)
+
+        self.grad_a_polys = []
+        self.grad_w_polys = []
+        for i in range(n):
+            g = Polynomial([0.0])
+            for j in range(n):
+                g = g + (2.0 * e[j]) * d.entry(i, j)
+            self.grad_a_polys.append(g)
+            self.grad_w_polys.append(-2.0 * _integ_from(g * r.poly, r.alpha_minus))
+
+        proj = np.eye(n) - np.outer(e, e)
+        self.tan_grad_a_polys = [sum((proj[i, k] * self.grad_a_polys[k]
+                                      for k in range(n)), Polynomial([0.0]))
+                                 for i in range(n)]
+        self.tan_grad_w_polys = [sum((proj[i, k] * self.grad_w_polys[k]
+                                      for k in range(n)), Polynomial([0.0]))
+                                 for i in range(n)]
+
+        ends = [r.alpha_minus, r.alpha_minus, r.alpha_plus, r.alpha_plus]
+        scale = max(1e-30, float(np.abs(self.w_poly.coef).max()))
+        self.q_poly, rem = _deflate(self.w_poly, ends)
+        if check and rem > _DEFLATE_TOL * scale:
+            raise EquipotentialViolated(
+                f"W_e does not vanish doubly at the wells (residual {rem:.3e}); "
+                "model fails the equipotential condition")
+        self.tan_grad_q_polys = []
+        for g in self.tan_grad_w_polys:
+            gq, grem = _deflate(g, ends)
+            if check and grem > _DEFLATE_TOL * max(scale, float(np.abs(g.coef).max()) if g.coef.size else 0.0):
+                raise EquipotentialViolated(
+                    f"tangential W-gradient residual {grem:.3e} at the wells")
+            self.tan_grad_q_polys.append(gq)
+
+        if check:
+            ss = np.linspace(r.alpha_minus, r.alpha_plus, 513)
+            qv = self.q_poly(ss)
+            if qv.min() <= 0.0:
+                raise NegativeW(
+                    f"deflated well potential reaches {qv.min():.3e} <= 0")
+
+    # -- evaluations (vectorized over s) --------------------------------------
+
+    def a(self, s):
+        return self.a_poly(s)
+
+    def w(self, s):
+        return self.w_poly(s)
+
+    def sqrt_w(self, s):
+        """sqrt(W_e) in the stable factored form, >= 0 on [a-, a+]."""
+        s = np.asarray(s, dtype=float)
+        t = (s - self.alpha_minus) * (self.alpha_plus - s)
+        return np.abs(t) * np.sqrt(np.maximum(self.q_poly(s), 0.0))
+
+    def tan_grad_a(self, s):
+        return np.stack([g(np.asarray(s, dtype=float)) for g in self.tan_grad_a_polys])
+
+    def tan_ratio(self, s):
+        """Tangential grad W_e / W_e via the deflated quotients; finite at the wells."""
+        s = np.asarray(s, dtype=float)
+        qv = self.q_poly(s)
+        return np.stack([g(s) / qv for g in self.tan_grad_q_polys])

@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from helpers import softstep_circle_field
+
 from phasefront import acsolver, errors
 from phasefront.acsolver import (
     Grid,
@@ -12,7 +14,6 @@ from phasefront.acsolver import (
     ordering_check,
     random_smooth_field,
     simulate,
-    softstep_circle_field,
     stability_dt,
     step,
     trig_product_field,

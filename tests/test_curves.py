@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_curve_distance
+from helpers import brute_force_curve_distance, translate_curve, turning_number
 
 from phasefront import errors
 from phasefront.acsolver import Grid
@@ -18,8 +18,6 @@ from phasefront.curves import (
     marching_squares,
     points_to_curve_distance,
     resample,
-    translate_curve,
-    turning_number,
 )
 
 

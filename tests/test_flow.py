@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+
+from helpers import rotate_curve, rounded_square_curve, translate_curve, turning_number
 
 from phasefront import errors
 from phasefront.acsolver import Grid
@@ -9,10 +13,6 @@ from phasefront.curves import (
     enclosed_area,
     geometry,
     hausdorff,
-    rotate_curve,
-    rounded_square_curve,
-    translate_curve,
-    turning_number,
 )
 from phasefront.flow import (
     SignedDistanceField,
@@ -152,6 +152,15 @@ def test_front_extinction_is_terminal(identity_mobility):
             cur = step_front(cur, identity_mobility, 1e-5)
 
 
+def test_evolve_front_failure_names_where_it_fired(identity_mobility):
+    cur = circle_curve((0.5, 0.5), 0.02, 64, h_target=0.005)
+    with pytest.raises(errors.Extinction) as info:
+        evolve_front(cur, identity_mobility, 1e-3, dt=1e-5)
+    where = re.search(r"at t = (\S+), step (\d+), \d+ markers$", str(info.value))
+    # step k starts at t = (k - 1) dt
+    assert float(where[1]) == pytest.approx((int(where[2]) - 1) * 1e-5)
+
+
 def test_front_self_intersection_detected(identity_mobility):
     th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     eight = np.stack([0.5 + 0.2 * np.sin(2 * th) + 0.03 * np.cos(th),
@@ -277,6 +286,17 @@ def test_level_set_gradient_degeneracy():
     mob = tabulate_mobility(cubic_identity_model(), 64)
     with pytest.raises(errors.GradientDegeneracy):
         step_level_set(flat, mob, level_set_dt(mob, g))
+
+
+def test_evolve_level_set_failure_names_where_it_fired():
+    g = Grid(64)
+    x, _ = g.cell_centers()
+    flat = signed_distance(circle_curve((0.5, 0.5), 0.25, 64), g)
+    flat.values = 0.01 * np.sin(2 * np.pi * x)
+    mob = tabulate_mobility(cubic_identity_model(), 64)
+    with pytest.raises(errors.GradientDegeneracy,
+                       match=r"narrow band at t = 0, step 1, grid n = 64$"):
+        evolve_level_set(flat, mob, 1e-4)
 
 
 @pytest.mark.parametrize("checkpoint", [3.0, -1.0], ids=["past-t_end", "negative"])

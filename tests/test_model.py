@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from helpers import quad_gk
+from helpers import PolynomialSection, quad_gk
 
 from phasefront import errors
 from phasefront.model import (
@@ -217,6 +217,69 @@ def test_direction_section_stable_forms():
     # tangential gradients vanish identically for the isotropic matrix
     assert np.allclose(sec.tan_grad_a(s), 0.0, atol=1e-14)
     assert np.allclose(sec.tan_ratio(s), 0.0, atol=1e-14)
+
+
+SECTION_MODELS = {
+    "diag": diag12_model(),
+    "rotated-constant": ModelSpec(
+        cubic_reaction(), rotated_diagonal_diffusivity(0.7, [1.0, 1.8]), 0.02),
+    "polynomial-cross": ModelSpec(
+        cubic_reaction(), polynomial_diffusivity([[[1.2, 0.0, 0.1], [0.2, 0.0, 0.03]],
+                                                  [[0.2, 0.0, 0.03], [0.9, 0.0, -0.05]]]),
+        0.02),
+    "diag-3d": ModelSpec(
+        cubic_reaction(), diagonal_diffusivity([1.0, [2.0, 0.0, 0.3], 3.0]), 0.02),
+}
+SECTION_COEFS = ("a", "w", "q", "grad_a", "grad_w", "tan_grad_a", "tan_grad_q")
+# F of each tangential form: e . grad_e F = 2F for F quadratic in e, so the
+# tangential gradient is the ambient one less 2F e, and its rounding is
+# relative to the ambient size, bounded by |tangential| + 2|F|
+TANGENTIAL_OF = {"tan_grad_a": "a", "tan_grad_q": "q"}
+
+
+def _reference_coef(ref, name):
+    """(rows, width) coefficients of a PolynomialSection form, zero-padded."""
+    polys = getattr(ref, name + "_polys", None) or [getattr(ref, name + "_poly")]
+    out = np.zeros((len(polys), max(len(p.coef) for p in polys)))
+    for i, p in enumerate(polys):
+        out[i, :len(p.coef)] = p.coef
+    return out
+
+
+def _assert_close(new, ref, what, normal=0.0):
+    """new within 1e-14 of ref, relative to |ref| + normal, the rows zero-padded."""
+    new, ref = np.atleast_2d(new), np.atleast_2d(ref)
+    width = max(new.shape[-1], ref.shape[-1])
+    new = np.pad(new, [(0, 0), (0, width - new.shape[-1])])
+    ref = np.pad(ref, [(0, 0), (0, width - ref.shape[-1])])
+    err = np.abs(new - ref).max()
+    assert err <= 1e-14 * (np.abs(ref).max() + normal), f"{what}: {err:.3e}"
+
+
+@pytest.mark.parametrize("spec", SECTION_MODELS.values(), ids=SECTION_MODELS.keys())
+def test_direction_section_matches_polynomial_reference(spec):
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(64, spec.diffusivity.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    stack = DirectionSection(spec, dirs)
+    s = np.linspace(-1.0, 1.0, 101)
+    for j, e in enumerate(dirs):
+        alone = DirectionSection(spec, e)
+        ref = PolynomialSection(spec, e)
+        for name in SECTION_COEFS:
+            coef = getattr(alone, name + "_coef")
+            # a row of the stack is the section of its direction alone
+            assert getattr(stack, name + "_coef")[j].tobytes() == coef.tobytes(), name
+            normal = 0.0
+            if name in TANGENTIAL_OF:
+                normal = 2.0 * np.abs(_reference_coef(ref, TANGENTIAL_OF[name])).max()
+            _assert_close(coef, _reference_coef(ref, name), name, normal)
+        _assert_close(alone.a(s), ref.a(s), "a")
+        _assert_close(alone.w(s), ref.w(s), "w")
+        _assert_close(alone.sqrt_w(s), ref.sqrt_w(s), "sqrt_w")
+        _assert_close(alone.tan_grad_a(s), ref.tan_grad_a(s), "tan_grad_a",
+                      2.0 * np.abs(ref.a(s)).max())
+        _assert_close(alone.tan_ratio(s), ref.tan_ratio(s), "tan_ratio", 2.0)
 
 
 def test_direction_section_rejects_unbalanced_model():

@@ -79,10 +79,10 @@ def test_grid_preconditions(monkeypatch):
         solve_standing_wave(spec, E1, h_z=0.05)
 
     # the table checks its grid before it builds a section or marches
-    def no_march(*args, **kwargs):
-        raise AssertionError("table marched on a rejected grid")
+    def no_section(*args, **kwargs):
+        raise AssertionError("table built a section on a rejected grid")
 
-    monkeypatch.setattr(DirectionSection, "slope_coefficients", no_march)
+    monkeypatch.setattr(DirectionSection, "__init__", no_section)
     with pytest.raises(errors.ConfigError):
         ProfileTable.build(spec, m_angles=4, z_max=5.0)
     with pytest.raises(errors.ConfigError):
@@ -277,21 +277,26 @@ def test_table_rows_match_scalar_march(diffusivity):
 @pytest.mark.parametrize("patched_ac, exc", [
     # a_e(u) = 1 - 2u turns negative above u = 1/2, so only the z > 0
     # half-line of the patched direction stops being monotone
-    ((-2.0, 1.0), errors.StallNearRoot),
+    ((1.0, -2.0), errors.StallNearRoot),
     # a_e = 1e4 slows both half-lines; the z > 0 lane is named first
-    ((1e4,), errors.ToleranceFailure),
+    ((1e4, 0.0), errors.ToleranceFailure),
 ], ids=["stall", "short"])
 def test_table_failure_names_its_lane(monkeypatch, patched_ac, exc):
     spec = cubic_identity_model()
     thetas = 2.0 * np.pi * np.arange(8) / 8
     bad = np.array([np.cos(thetas[3]), np.sin(thetas[3])])
-    coefficients = DirectionSection.slope_coefficients
+    construct = DirectionSection.__init__
 
-    def patched(self):
-        qc, ac, am, ap = coefficients(self)
-        return qc, (patched_ac if np.array_equal(self.e, bad) else ac), am, ap
+    def patched(self, *args, **kwargs):
+        # identity D: a_e = 1 in every row; the row of the bad direction
+        # gets the patched (ascending) a_e coefficients
+        construct(self, *args, **kwargs)
+        a_coef = np.zeros(self.a_coef.shape[:-1] + (2,))
+        a_coef[..., 0] = self.a_coef[..., 0]
+        a_coef[np.all(self.e == bad, axis=-1)] = patched_ac
+        self.a_coef = a_coef
 
-    monkeypatch.setattr(DirectionSection, "slope_coefficients", patched)
+    monkeypatch.setattr(DirectionSection, "__init__", patched)
     with pytest.raises(exc) as info:
         ProfileTable.build(spec, m_angles=8)
     assert f"z > 0 half-line of theta={thetas[3]:.15g}" in str(info.value)
