@@ -208,12 +208,17 @@ def _cmd_flow(args) -> int:
     return EXIT_OK
 
 
+def _emit_report(report, out_dir) -> None:
+    """Write report.json/report.csv into out_dir, if given, and print the JSON."""
+    if out_dir:
+        write_report(report, out_dir)
+    sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+
+
 def _cmd_converge(args) -> int:
     cfg = _experiment_config(args)
     report = propagation_sweep(cfg)
-    if cfg.out_dir:
-        write_report(report, cfg.out_dir)
-    sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+    _emit_report(report, cfg.out_dir)
     return EXIT_OK if report.passed else EXIT_EXPERIMENT
 
 
@@ -222,16 +227,10 @@ def _cmd_generation(args) -> int:
     try:
         report = generation_experiment(cfg)
     except CeilingExceeded as exc:
-        report = exc.args[0]
-        if isinstance(report, GenerationReport):
-            if cfg.out_dir:
-                write_report(report, cfg.out_dir)
-            sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True,
-                                        indent=1) + "\n")
+        if isinstance(exc.args[0], GenerationReport):
+            _emit_report(exc.args[0], cfg.out_dir)
         return EXIT_EXPERIMENT
-    if cfg.out_dir:
-        write_report(report, cfg.out_dir)
-    sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+    _emit_report(report, cfg.out_dir)
     return EXIT_OK if report.passed else EXIT_EXPERIMENT
 
 

@@ -153,10 +153,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def load_experiment(path) -> ExperimentConfig:
-    return experiment_from_dict(load_config(path))
-
-
 def load_model(path) -> ModelSpec:
     """Model from either a bare model object or a full experiment config."""
     cfg = load_config(path)

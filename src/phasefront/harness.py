@@ -48,9 +48,23 @@ def t_epsilon(spec: ModelSpec, eps: float) -> float:
 # reaction clock Y' = f(Y)
 # ---------------------------------------------------------------------------
 
-def _reaction_march(spec: ModelSpec, xi_arr: np.ndarray, tau_list,
-                    h_tau: float):
-    """Single RK4 march of (Y, Y_xi, Y_xixi), capturing at each tau in order."""
+def solve_reaction_ode(spec: ModelSpec, xi, tau: float, h_tau: float = 1e-3):
+    """RK4 on Y' = f(Y) jointly with the variational equations.
+
+    Returns (Y, Y_xi) at time tau (shape follows xi). Blowup is raised if Y
+    leaves the bistable region by a wide margin (possible only for far-out
+    initial values).
+    """
+    if tau < 0:
+        raise ConfigError("tau must be nonnegative")
+    y, dy, _ = reaction_trajectory(spec, xi, [tau], h_tau)[0]
+    if np.isscalar(xi) or np.asarray(xi).ndim == 0:
+        return float(y[0]), float(dy[0])
+    return y, dy
+
+
+def reaction_trajectory(spec: ModelSpec, xi, tau_list, h_tau: float = 1e-3):
+    """(Y, Y_xi, Y_xixi) captured at each tau of a single joint RK4 march."""
     r = spec.reaction
     cf = r.poly.coef[::-1]
     cfp = r.poly.deriv().coef[::-1]
@@ -62,12 +76,12 @@ def _reaction_march(spec: ModelSpec, xi_arr: np.ndarray, tau_list,
         return (np.polyval(cf, y), fpv * dy,
                 np.polyval(cfpp, y) * dy * dy + fpv * d2y)
 
-    y = xi_arr.astype(float).copy()
+    y = np.atleast_1d(np.asarray(xi, dtype=float)).copy()
     dy = np.ones_like(y)
     d2y = np.zeros_like(y)
     t = 0.0
     captures = []
-    for target in tau_list:
+    for target in map(float, tau_list):
         if target < t:
             raise ConfigError("capture times must be nondecreasing")
         while t < target - 1e-14:
@@ -84,31 +98,6 @@ def _reaction_march(spec: ModelSpec, xi_arr: np.ndarray, tau_list,
                 raise Blowup("reaction trajectory left the bistable region")
         captures.append((y.copy(), dy.copy(), d2y.copy()))
     return captures
-
-
-def solve_reaction_ode(spec: ModelSpec, xi, tau: float, h_tau: float = 1e-3,
-                       with_second: bool = False):
-    """RK4 on Y' = f(Y) jointly with the variational equations.
-
-    Returns (Y, Y_xi) at time tau (shape follows xi); with ``with_second``
-    also Y_xixi. Blowup is raised if Y leaves the bistable region by a wide
-    margin (possible only for far-out initial values).
-    """
-    if tau < 0:
-        raise ConfigError("tau must be nonnegative")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    y, dy, d2y = _reaction_march(spec, xi_arr, [float(tau)], h_tau)[0]
-    if np.isscalar(xi) or np.asarray(xi).ndim == 0:
-        y, dy, d2y = float(y[0]), float(dy[0]), float(d2y[0])
-    if with_second:
-        return y, dy, d2y
-    return y, dy
-
-
-def reaction_trajectory(spec: ModelSpec, xi, tau_list, h_tau: float = 1e-3):
-    """(Y, Y_xi, Y_xixi) captured at each tau of a single joint march."""
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    return _reaction_march(spec, xi_arr, [float(t) for t in tau_list], h_tau)
 
 
 @dataclass

@@ -111,12 +111,9 @@ def tangential_form(spec: ModelSpec, e, eta) -> float:
 def tangential_lower_bound(spec: ModelSpec, e) -> float:
     """Certified lower bound int min_eig(D(s)) sqrt(W_e(s)) ds for the form."""
     sec = _section(spec, e)
-    d = spec.diffusivity
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        mats = np.moveaxis(d.d_matrix(s), -1, 0)
-        dmin = np.linalg.eigvalsh(mats)[:, 0]
-        return dmin * sec.sqrt_w(s)
+        return spec.diffusivity.eigenvalues(s)[..., 0] * sec.sqrt_w(s)
 
     return gauss_adaptive(integrand, sec.alpha_minus, sec.alpha_plus)
 

@@ -13,6 +13,12 @@ e with the coefficient tensor of D, then three fixed coefficient maps (to W,
 and to the quotient and remainder of W by (s-a-)^2 (a+-s)^2).
 :class:`DirectionSection` holds these coefficient arrays for one direction or
 a stack of them; the public ``a_e``/``w_e``/... operations evaluate one.
+
+Everything that depends only on (f, D) is computed once per model: the
+diffusivity keeps its coefficient tensor, and :class:`ModelSpec` holds the
+eigenvalue extremes of D(s) on the validation grid and the three coefficient
+maps. :func:`validate_model` reads the same extremes for its ellipticity check
+and applies the W map to D's tensor for the equipotential residuals.
 """
 
 from __future__ import annotations
@@ -37,9 +43,7 @@ _UNIT_TOL = 1e-9
 # relative remainder above which W_e is taken not to vanish doubly at a well
 _DEFLATE_TOL = 1e-6
 W_TOL = 1e-10               # w_e raises NegativeW below -W_TOL between the wells
-S_SAMPLES = 1024            # s samples of eig_bounds and the ellipticity check
-VALIDATION_DIRECTIONS = 256  # seeded directions of the ellipticity check
-VALIDATION_SEED = 0
+S_SAMPLES = 1024            # s samples of the eigenvalue extremes of D(s)
 
 
 def _as_poly(coeffs) -> Polynomial:
@@ -180,6 +184,8 @@ class DiffusivitySpec:
 
     entries: tuple[tuple[Polynomial, ...], ...]
     dim: int
+    # (N, N, p) ascending coefficients of the entries, zero-padded
+    coef: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.dim
@@ -190,26 +196,21 @@ class DiffusivitySpec:
                 di, dj = self.entries[i][j], self.entries[j][i]
                 if not np.allclose(di.coef, dj.coef, rtol=0, atol=1e-14):
                     raise ConfigError("diffusivity entries are not symmetric")
+        p = max(len(c.coef) for row in self.entries for c in row)
+        object.__setattr__(self, "coef", np.array(
+            [[np.pad(c.coef, (0, p - len(c.coef))) for c in row]
+             for row in self.entries]))
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
 
-    def coefficients(self) -> np.ndarray:
-        """(N, N, p) ascending coefficients of the entries, zero-padded."""
-        p = max(len(c.coef) for row in self.entries for c in row)
-        return np.array([[np.pad(c.coef, (0, p - len(c.coef))) for c in row]
-                         for row in self.entries])
-
     def d_matrix(self, s):
         """D(s); shape (N, N) for scalar s, (N, N) + s.shape for arrays."""
-        return _horner(self.coefficients(), s)
+        return _horner(self.coef, s)
 
-    def eig_bounds(self, lo: float, hi: float):
-        """Sampled (min, max) eigenvalues of D(s) over [lo, hi]."""
-        s = np.linspace(lo, hi, S_SAMPLES)
-        mats = np.moveaxis(self.d_matrix(s), -1, 0)
-        eigs = np.linalg.eigvalsh(mats)
-        return float(eigs.min()), float(eigs.max())
+    def eigenvalues(self, s) -> np.ndarray:
+        """Ascending eigenvalues of D(s); shape s.shape + (N,)."""
+        return np.linalg.eigvalsh(np.moveaxis(self.d_matrix(s), (0, 1), (-2, -1)))
 
 
 def identity_diffusivity(dim: int = 2) -> DiffusivitySpec:
@@ -279,20 +280,45 @@ def diffusivity_from_config(cfg: dict) -> DiffusivitySpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full model: reaction + diffusivity + interface width epsilon."""
+    """Full model: reaction + diffusivity + interface width epsilon.
+
+    Construction derives what depends only on (f, D): c_lower/c_upper, the
+    extreme eigenvalues of D(s) on S_SAMPLES points of the validation range,
+    and the three coefficient maps of every DirectionSection. Row k of
+    ``w_map`` holds W of a_e = s^k; rows k of ``q_map``/``rem_map`` hold the
+    quotient and remainder of s^k by (s-a-)^2 (a+-s)^2.
+    """
 
     reaction: ReactionSpec
     diffusivity: DiffusivitySpec
     epsilon: float
     c_lower: float = field(init=False)
     c_upper: float = field(init=False)
+    w_map: np.ndarray = field(init=False, compare=False, repr=False)
+    q_map: np.ndarray = field(init=False, compare=False, repr=False)
+    rem_map: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise ConfigError("epsilon must be positive")
-        cl, cu = self.diffusivity.eig_bounds(*self.validation_range)
-        object.__setattr__(self, "c_lower", cl)
-        object.__setattr__(self, "c_upper", cu)
+        r, d = self.reaction, self.diffusivity
+        eigs = d.eigenvalues(np.linspace(*self.validation_range, S_SAMPLES))
+        object.__setattr__(self, "c_lower", float(eigs.min()))
+        object.__setattr__(self, "c_upper", float(eigs.max()))
+
+        f, am, ap = r.poly.coef, r.alpha_minus, r.alpha_plus
+        p = d.coef.shape[-1]
+        size = p + len(f)
+        eye = np.eye(size)
+        w_rows = [-2.0 * P.polyint(P.polymul(eye[k, :p], f), lbnd=am) for k in range(p)]
+        wells = P.polyfromroots([am, am, ap, ap])
+        div = [P.polydiv(u, wells) for u in eye]
+        object.__setattr__(self, "w_map", np.array(
+            [np.pad(c, (0, size - len(c))) for c in w_rows]))
+        object.__setattr__(self, "q_map", np.array(
+            [np.pad(q, (0, size - 4 - len(q))) for q, _ in div]))
+        object.__setattr__(self, "rem_map", np.array(
+            [np.pad(rem, (0, 4 - len(rem))) for _, rem in div]))
 
     @property
     def validation_range(self) -> tuple[float, float]:
@@ -347,11 +373,13 @@ class ValidationReport:
 def validate_model(spec: ModelSpec, tol: float = 1e-8) -> ValidationReport:
     """Check the bistable, ellipticity, and equipotential conditions.
 
-    Sampling is deterministic: s on a uniform grid of S_SAMPLES over the
-    validation range, VALIDATION_DIRECTIONS directions from a generator
-    seeded with VALIDATION_SEED.
+    The ellipticity extremes are the model's c_lower/c_upper: the exact
+    extreme eigenvalues of D(s) on S_SAMPLES points of the validation range,
+    with no sampling of directions. The equipotential residuals
+    int_{a-}^{a+} D_ij f are -1/2 times the W map of D's coefficient tensor
+    at alpha_plus.
     """
-    r, d = spec.reaction, spec.diffusivity
+    r = spec.reaction
     failures: list[tuple[str, str]] = []
 
     root_res = tuple(abs(float(r.f(a))) for a in r.roots)
@@ -365,25 +393,13 @@ def validate_model(spec: ModelSpec, tol: float = 1e-8) -> ValidationReport:
     if not (signs[0] < 0.0 and signs[1] > 0.0 and signs[2] < 0.0):
         failures.append(("non-bistable", f"f' signs at roots are {signs}"))
 
-    lo, hi = spec.validation_range
-    s_grid = np.linspace(lo, hi, S_SAMPLES)
-    rng = np.random.default_rng(VALIDATION_SEED)
-    eta = rng.normal(size=(VALIDATION_DIRECTIONS, d.dim))
-    eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-    dmats = np.moveaxis(d.d_matrix(s_grid), -1, 0)          # (n_samples, N, N)
-    forms = np.einsum("sij,ki,kj->sk", dmats, eta, eta)
-    ell_min, ell_max = float(forms.min()), float(forms.max())
-    if ell_min <= 0.0:
+    if spec.c_lower <= 0.0:
+        lo, hi = spec.validation_range
         failures.append(("not-elliptic",
-                         f"sampled quadratic form reaches {ell_min:.3e}"))
+                         f"minimum eigenvalue of D(s) on [{lo:g}, {hi:g}] "
+                         f"is {spec.c_lower:.3e}"))
 
-    am, ap = r.alpha_minus, r.alpha_plus
-    equi = np.empty((d.dim, d.dim))
-    for i in range(d.dim):
-        for j in range(d.dim):
-            prod = d.entry(i, j) * r.poly
-            prim = prod.integ()
-            equi[i, j] = float(prim(ap) - prim(am))
+    equi = -0.5 * _horner(_apply(spec.diffusivity.coef, spec.w_map), r.alpha_plus)
     if np.abs(equi).max() > tol:
         failures.append(("equipotential",
                          f"max equipotential residual {np.abs(equi).max():.3e} > {tol:g}"))
@@ -392,8 +408,8 @@ def validate_model(spec: ModelSpec, tol: float = 1e-8) -> ValidationReport:
         passed=not failures,
         root_residuals=root_res,
         sign_values=signs,
-        ellipticity_min=ell_min,
-        ellipticity_max=ell_max,
+        ellipticity_min=spec.c_lower,
+        ellipticity_max=spec.c_upper,
         equipotential_residuals=equi,
         failures=failures,
     )
@@ -461,20 +477,10 @@ class DirectionSection:
             raise NotUnit(f"direction {e} is not a unit {n}-vector")
         self.e = e
         am, ap = self.alpha_minus, self.alpha_plus = r.alpha_minus, r.alpha_plus
-
-        # the three coefficient maps, one row per unit coefficient vector
-        cd = d.coefficients()
-        p, size = cd.shape[-1], cd.shape[-1] + len(r.poly.coef)
-        eye = np.eye(size)
-        w_rows = [-2.0 * P.polyint(P.polymul(eye[k, :p], r.poly.coef), lbnd=am)
-                  for k in range(p)]
-        w_map = np.array([np.pad(c, (0, size - len(c))) for c in w_rows])
-        div = [P.polydiv(u, P.polyfromroots([am, am, ap, ap])) for u in eye]
-        q_map = np.array([np.pad(q, (0, size - 4 - len(q))) for q, _ in div])
-        rem_map = np.array([np.pad(rem, (0, 4 - len(rem))) for _, rem in div])
+        w_map, q_map, rem_map = spec.w_map, spec.q_map, spec.rem_map
 
         # D e, then a_e = e . D e and its sphere-tangential gradient
-        de = _apply(e, cd.swapaxes(0, 1))
+        de = _apply(e, d.coef.swapaxes(0, 1))
         self.grad_a_coef = 2.0 * de
         self.a_coef = sum(e[..., i, None] * de[..., i, :] for i in range(n))
         # e . grad a_e = 2 a_e, so the tangential part drops 2 a_e e

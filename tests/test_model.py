@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
 from helpers import PolynomialSection, quad_gk
 
-from phasefront import errors
+from phasefront import errors, model
 from phasefront.model import (
     DirectionSection,
     ModelSpec,
@@ -63,13 +65,31 @@ def test_validate_shifted_cubic_with_refreshed_roots():
 
 
 def test_validate_s_dependent_entry_breaks_equipotential():
-    d = diagonal_diffusivity([1.0, [2.0, 1.0]])    # D22(s) = 2 + s
+    # D22(s) = 3 + s stays >= 1 on the validation range [-2, 2]
+    d = diagonal_diffusivity([1.0, [3.0, 1.0]])
     spec = ModelSpec(cubic_reaction(), d, 0.02)
     rep = validate_model(spec)
     assert not rep.passed
+    assert [code for code, _ in rep.failures] == ["equipotential"]
     # int_{-1}^{1} s (s - s^3) ds = 2/3 - 2/5 = 4/15
     assert abs(rep.equipotential_residuals[1, 1] - 4.0 / 15.0) < 1e-12
     with pytest.raises(errors.EquipotentialViolated):
+        rep.raise_if_failed()
+
+
+@pytest.mark.parametrize("entries", [[1.0, -1e-9], [1.0, 0.0], [1.0, [2.0, 1.0]]],
+                         ids=["negative", "zero", "zero-at-range-end"])
+def test_validate_flags_zero_or_negative_eigenvalue(entries):
+    # the last one is D22(s) = 2 + s, which vanishes at s = -2, the lower end
+    # of the validation range; every direction off e2 still sees a positive form
+    spec = ModelSpec(cubic_reaction(), diagonal_diffusivity(entries), 0.02)
+    rep = validate_model(spec)
+    assert not rep.passed
+    assert rep.failures[0][0] == "not-elliptic"
+    assert "minimum eigenvalue of D(s)" in rep.failures[0][1]
+    assert (rep.ellipticity_min, rep.ellipticity_max) == (spec.c_lower, spec.c_upper)
+    assert rep.ellipticity_min <= 0.0
+    with pytest.raises(errors.NotElliptic):
         rep.raise_if_failed()
 
 
@@ -287,6 +307,22 @@ def test_direction_section_rejects_unbalanced_model():
     spec = ModelSpec(cubic_reaction(), d, 0.02)
     with pytest.raises(errors.EquipotentialViolated):
         DirectionSection(spec, (0.0, 1.0))
+
+
+def test_direction_section_builds_no_coefficient_map(monkeypatch):
+    # the maps are the model's; a section only contracts e with them
+    spec = SECTION_MODELS["polynomial-cross"]
+
+    def no_poly_algebra(*args, **kwargs):
+        raise AssertionError("a section must not build coefficient maps")
+
+    poly = SimpleNamespace(**vars(model.P))
+    for name in ("polydiv", "polyint", "polyfromroots"):
+        setattr(poly, name, no_poly_algebra)
+    monkeypatch.setattr(model, "P", poly)
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    DirectionSection(spec, (0.6, 0.8))
+    DirectionSection(spec, np.stack([np.cos(theta), np.sin(theta)], axis=-1))
 
 
 def test_model_from_config_and_unknown_fields():
