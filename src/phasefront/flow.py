@@ -14,6 +14,15 @@ advances it with
 
 reading w from a dense angle table and reinitializing every
 ``REINIT_EVERY`` steps so |grad d| stays near one in the band.
+
+The level set is local (Adalsteinsson & Sethian 1995; Peng et al. 1999):
+a ``SignedDistanceField`` carries the flat indices of its band cells and of
+their periodic neighbours, and a step gathers the stencil from them and
+scatters the update into a copy, leaving every other cell as it was.
+``signed_distance`` puts the band at |d| < ``BAND_CELLS`` h; a field built
+by hand has every cell in its band. Each reinitialization relaxes the band
+plus one ring of cells around it, clamps d to +-``BAND_CELLS`` h and rebuilds
+the band from the result, so the band follows the front.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .curves import (
 )
 from .errors import (
     Blowup,
+    CFLViolated,
     ConfigError,
     DegenerateCurve,
     Extinction,
@@ -49,6 +59,7 @@ FRONT_CFL = 0.15
 EXTINCTION_CELLS = 4.0
 REINIT_EVERY = 25           # level-set steps between reinitializations
 REINIT_ITERATIONS = 20      # relaxation sweeps per reinitialization
+BAND_CELLS = 12             # level-set band half-width |d| < BAND_CELLS * h
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +138,45 @@ def evolve_front(curve: FrontCurve, mobility: MobilityTensor, t_end: float,
 
 @dataclass
 class SignedDistanceField:
-    """Signed distance samples: positive outside the front (high-phase side)."""
+    """Signed distance samples: positive outside the front (high-phase side).
+
+    ``stencil`` (9, m) holds flat indices into ``values``: row 0 the m band
+    cells the level set updates, rows 1-8 their periodic neighbours in the
+    order of ``_stencil``. Without one, every cell is in the band.
+    """
 
     grid: Grid
     values: np.ndarray
     steps_taken: int = 0
+    stencil: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n, self.grid.n):
             raise ConfigError("field shape does not match the grid")
+        if self.stencil is None:
+            self.stencil = _stencil(np.arange(self.grid.n ** 2), self.grid.n)
 
     def copy(self) -> "SignedDistanceField":
-        return SignedDistanceField(self.grid, self.values.copy(), self.steps_taken)
+        return SignedDistanceField(self.grid, self.values.copy(), self.steps_taken,
+                                   self.stencil)
+
+
+def _stencil(cells: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices (9, m) of cells (i, j) = divmod(cell, n) and of their
+    periodic neighbours: centre, +x, -x, +y, -y, (+x, +y), (-x, +y),
+    (+x, -y), (-x, -y); x runs along axis 0."""
+    i, j = np.divmod(cells, n)
+    ip, im = (i + 1) % n * n, (i - 1) % n * n
+    jp, jm = (j + 1) % n, (j - 1) % n
+    return np.stack([cells, ip + j, im + j, cells - j + jp, cells - j + jm,
+                     ip + jp, im + jp, ip + jm, im + jm])
+
+
+def _banded(grid: Grid, values: np.ndarray, steps_taken: int = 0) -> SignedDistanceField:
+    """The field with its band at |d| < BAND_CELLS * h."""
+    band = np.flatnonzero(np.abs(values) < BAND_CELLS * grid.h)
+    return SignedDistanceField(grid, values, steps_taken, _stencil(band, grid.n))
 
 
 def _inside_mask(curve: FrontCurve, grid: Grid) -> np.ndarray:
@@ -174,6 +211,7 @@ def signed_distance(curve: FrontCurve, grid: Grid) -> SignedDistanceField:
 
     The sign follows the curve orientation: positive on the high-phase side
     (the geometric interior is the low-phase side for a standard front).
+    Every value is exact; the band is |d| < BAND_CELLS * h.
     """
     if curve.n_vertices < 3 or not is_simple(curve):
         raise DegenerateCurve("need a simple closed curve")
@@ -183,7 +221,7 @@ def signed_distance(curve: FrontCurve, grid: Grid) -> SignedDistanceField:
     inside = _inside_mask(curve, grid)
     interior_sign = -1.0 if enclosed_area(curve) > 0.0 else 1.0
     values = np.where(inside, interior_sign * dist, -interior_sign * dist)
-    return SignedDistanceField(grid, values)
+    return _banded(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -196,57 +234,66 @@ def reinitialize(sdf: SignedDistanceField) -> SignedDistanceField:
     Cells whose stencil straddles the zero set relax toward the local linear
     distance estimate instead (Russo-Smereka), which keeps the zero crossing
     pinned across repeated reinitializations.
+
+    The relaxation runs on the band plus one ring of cells around it, the
+    cells its stencil reaches, so cells the front approaches re-enter the
+    band; all other cells keep their values. d is then clamped to
+    +-BAND_CELLS * h everywhere and the band rebuilt as |d| < BAND_CELLS * h,
+    which holds every cell the step's |d| < 3h degeneracy check looks at.
     """
-    h = sdf.grid.h
-    d0 = sdf.values
-    d = d0.copy()
+    grid, h = sdf.grid, sdf.grid.h
+    reached = np.zeros(grid.n ** 2, dtype=bool)
+    reached[sdf.stencil] = True
+    c, xp, xm, yp, ym = _stencil(np.flatnonzero(reached), grid.n)[:5]
+    d = sdf.values.flatten()
+    d0, d0xp, d0xm, d0yp, d0ym = d[c], d[xp], d[xm], d[yp], d[ym]
     sgn = d0 / np.sqrt(d0 * d0 + h * h)
     dtau = 0.5 * h
 
-    d0xp = np.roll(d0, -1, axis=0)
-    d0xm = np.roll(d0, 1, axis=0)
-    d0yp = np.roll(d0, -1, axis=1)
-    d0ym = np.roll(d0, 1, axis=1)
     interface = ((d0 * d0xp < 0.0) | (d0 * d0xm < 0.0)
                  | (d0 * d0yp < 0.0) | (d0 * d0ym < 0.0))
     grad0 = np.hypot((d0xp - d0xm) / (2.0 * h), (d0yp - d0ym) / (2.0 * h))
     target = d0 / np.maximum(grad0, 1e-8)          # linear distance estimate
 
     for _ in range(REINIT_ITERATIONS):
-        dxm = (d - np.roll(d, 1, axis=0)) / h
-        dxp = (np.roll(d, -1, axis=0) - d) / h
-        dym = (d - np.roll(d, 1, axis=1)) / h
-        dyp = (np.roll(d, -1, axis=1) - d) / h
+        dc = d[c]
+        dxm = (dc - d[xm]) / h
+        dxp = (d[xp] - dc) / h
+        dym = (dc - d[ym]) / h
+        dyp = (d[yp] - dc) / h
         pos = np.sqrt(np.maximum(np.maximum(dxm, 0.0) ** 2, np.minimum(dxp, 0.0) ** 2)
                       + np.maximum(np.maximum(dym, 0.0) ** 2, np.minimum(dyp, 0.0) ** 2))
         neg = np.sqrt(np.maximum(np.minimum(dxm, 0.0) ** 2, np.maximum(dxp, 0.0) ** 2)
                       + np.maximum(np.minimum(dym, 0.0) ** 2, np.maximum(dyp, 0.0) ** 2))
         grad = np.where(sgn >= 0.0, pos, neg)
-        bulk = d - dtau * sgn * (grad - 1.0)
-        pinned = d - dtau / h * (np.sign(d0) * np.abs(d) - target)
-        d = np.where(interface, pinned, bulk)
-    return SignedDistanceField(sdf.grid, d, sdf.steps_taken)
+        bulk = dc - dtau * sgn * (grad - 1.0)
+        pinned = dc - dtau / h * (np.sign(d0) * np.abs(dc) - target)
+        d[c] = np.where(interface, pinned, bulk)
+    np.clip(d, -BAND_CELLS * h, BAND_CELLS * h, out=d)
+    return _banded(grid, d.reshape(grid.n, grid.n), sdf.steps_taken)
 
 
 def level_set_dt(mobility: MobilityTensor, grid: Grid) -> float:
+    """The explicit step's stability bound h^2 / (8 max w)."""
     weights, _ = mobility.weight_lookup()
     return grid.h**2 / (8.0 * max(float(weights.max()), 1e-12))
 
 
 def step_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
                    dt: float) -> SignedDistanceField:
-    """One explicit update of d_t = w(n) tau^T (grad^2 d) tau.
+    """One explicit update of d_t = w(n) tau^T (grad^2 d) tau on the band.
 
     tau = (-d_y, d_x) / |grad d| and w is read from the weight table at the
     quantized angle of grad d. Cells with |grad d| < 1/2 are held fixed; in
-    the band |d| < 3h they raise GradientDegeneracy.
+    |d| < 3h they raise GradientDegeneracy. dt above ``level_set_dt`` raises
+    CFLViolated.
     """
+    bound = level_set_dt(mobility, sdf.grid)
+    if dt > bound * (1.0 + 1e-9):
+        raise CFLViolated(f"dt = {dt:g} exceeds the level-set stability bound "
+                          f"{bound:g}")
     h = sdf.grid.h
-    d = sdf.values
-    dxp = np.roll(d, -1, axis=0)
-    dxm = np.roll(d, 1, axis=0)
-    dyp = np.roll(d, -1, axis=1)
-    dym = np.roll(d, 1, axis=1)
+    d, dxp, dxm, dyp, dym, dpp, dmp, dpm, dmm = np.take(sdf.values, sdf.stencil)
     gx = (dxp - dxm) / (2.0 * h)
     gy = (dyp - dym) / (2.0 * h)
     g2 = gx * gx + gy * gy
@@ -265,14 +312,17 @@ def step_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
     inv_h2 = 1.0 / (h * h)
     dxx = (dxp - 2.0 * d + dxm) * inv_h2
     dyy = (dyp - 2.0 * d + dym) * inv_h2
-    dxy = (np.roll(gx, -1, axis=1) - np.roll(gx, 1, axis=1)) / (2.0 * h)
+    # the centred y-difference of the centred gx
+    dxy = ((dpp - dmp) / (2.0 * h) - (dpm - dmm) / (2.0 * h)) / (2.0 * h)
     # tau^T H tau with tau = (-gy, gx) / |grad d|; the floor on |grad d|^2
     # only reaches cells that are held fixed
     rhs = w * (gy * gy * dxx - 2.0 * gx * gy * dxy + gx * gx * dyy) / np.maximum(g2, 0.25)
-    new = d + dt * np.where(ok, rhs, 0.0)
-    if not np.isfinite(new).all():
+    d += dt * np.where(ok, rhs, 0.0)
+    if not np.isfinite(d).all():
         raise Blowup("level-set update produced non-finite values")
-    out = SignedDistanceField(sdf.grid, new, sdf.steps_taken + 1)
+    new = sdf.values.copy()
+    np.put(new, sdf.stencil[0], d)
+    out = SignedDistanceField(sdf.grid, new, sdf.steps_taken + 1, sdf.stencil)
     if out.steps_taken % REINIT_EVERY == 0:
         out = reinitialize(out)
     return out
@@ -282,7 +332,8 @@ def evolve_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
                      t_end: float, dt: float | None = None,
                      checkpoints=None) -> list[tuple[float, SignedDistanceField]]:
     """March to t_end in steps of dt (default ``level_set_dt``), landing
-    exactly on checkpoints."""
+    exactly on checkpoints. A dt above ``level_set_dt`` raises CFLViolated
+    at the first step."""
     if dt is None:
         dt = level_set_dt(mobility, sdf.grid)
     history = _march(sdf, lambda d, h: step_level_set(d, mobility, h), t_end, dt,

@@ -10,11 +10,13 @@ from phasefront.acsolver import Grid
 from phasefront.curves import (
     circle_curve,
     curve_from_points,
+    ellipse_curve,
     enclosed_area,
     geometry,
     hausdorff,
 )
 from phasefront.flow import (
+    BAND_CELLS,
     SignedDistanceField,
     evolve_front,
     evolve_level_set,
@@ -223,9 +225,7 @@ def test_level_set_straight_line_stationary(identity_mobility):
     d = np.minimum(np.abs(x - 0.25), np.minimum(np.abs(x - 0.75),
                    np.minimum(np.abs(x + 0.25), np.abs(x - 1.25))))
     d = np.where((x > 0.25) & (x < 0.75), d, -d)
-    sdf_cls = signed_distance(circle_curve((0.5, 0.5), 0.25, 64), g)  # reuse type
-    sdf_cls.values = d
-    cur = sdf_cls
+    cur = SignedDistanceField(g, d)
     dt = level_set_dt(identity_mobility, g)
     for _ in range(10000):
         cur = step_level_set(cur, identity_mobility, dt)
@@ -278,11 +278,55 @@ def test_level_set_step_matches_tangential_hessian_reference(diag_mobility):
     assert np.abs(n_h_tau[band]).max() > 1.0
 
 
+def test_banded_step_matches_every_cell_step(diag_mobility):
+    g = Grid(128)
+    sdf = signed_distance(ellipse_curve((0.47, 0.52), 0.25, 0.17, 256), g)
+    dt = level_set_dt(diag_mobility, g)
+    reinit = reinitialize(step_level_set(sdf, diag_mobility, dt))
+    near = np.flatnonzero(np.abs(reinit.values) < 3 * g.h)
+    assert np.isin(near, reinit.stencil[0]).all()
+    assert np.abs(reinit.values).max() <= BAND_CELLS * g.h
+    for field in (sdf, reinit):
+        band = field.stencil[0]
+        in_band = np.zeros(g.n**2, dtype=bool)
+        in_band[band] = True
+        assert 0 < band.size < g.n**2 // 4
+        banded = step_level_set(field, diag_mobility, dt).values.ravel()
+        every = step_level_set(SignedDistanceField(g, field.values), diag_mobility,
+                               dt).values.ravel()
+        inner = band[in_band[field.stencil].all(axis=0)]
+        assert inner.size > band.size // 2
+        assert banded[inner].tobytes() == every[inner].tobytes()
+        assert banded[~in_band].tobytes() == field.values.ravel()[~in_band].tobytes()
+
+
+def test_level_set_front_travels_past_the_band(identity_mobility):
+    # the radius shrinks by 0.2, about 13h: farther than the band reaches
+    g = Grid(64)
+    sdf = signed_distance(circle_curve((0.5, 0.5), 0.3, 256), g)
+    zc = zero_contour(evolve_level_set(sdf, identity_mobility, 0.04)[-1][1])
+    r = np.linalg.norm(zc.vertices - 0.5, axis=1)
+    assert np.abs(r - np.sqrt(0.09 - 0.08)).max() <= 2 * g.h
+
+
+@pytest.mark.parametrize("factor", [4.0, 10.0])
+def test_level_set_rejects_dt_above_its_bound(identity_mobility, factor):
+    g = Grid(64)
+    sdf = signed_distance(circle_curve((0.5, 0.5), 0.3, 128), g)
+    bound = level_set_dt(identity_mobility, g)
+    with pytest.raises(errors.CFLViolated) as info:
+        evolve_level_set(sdf, identity_mobility, 100 * bound, dt=factor * bound)
+    assert str(info.value) == (f"dt = {factor * bound:g} exceeds the level-set "
+                               f"stability bound {bound:g} at t = 0, step 1, "
+                               f"grid n = 64")
+    with pytest.raises(errors.CFLViolated):
+        step_level_set(sdf, identity_mobility, factor * bound)
+
+
 def test_level_set_gradient_degeneracy():
     g = Grid(64)
     x, _ = g.cell_centers()
-    flat = signed_distance(circle_curve((0.5, 0.5), 0.25, 64), g)
-    flat.values = 0.01 * np.sin(2 * np.pi * x)
+    flat = SignedDistanceField(g, 0.01 * np.sin(2 * np.pi * x))
     mob = tabulate_mobility(cubic_identity_model(), 64)
     with pytest.raises(errors.GradientDegeneracy):
         step_level_set(flat, mob, level_set_dt(mob, g))
@@ -291,8 +335,7 @@ def test_level_set_gradient_degeneracy():
 def test_evolve_level_set_failure_names_where_it_fired():
     g = Grid(64)
     x, _ = g.cell_centers()
-    flat = signed_distance(circle_curve((0.5, 0.5), 0.25, 64), g)
-    flat.values = 0.01 * np.sin(2 * np.pi * x)
+    flat = SignedDistanceField(g, 0.01 * np.sin(2 * np.pi * x))
     mob = tabulate_mobility(cubic_identity_model(), 64)
     with pytest.raises(errors.GradientDegeneracy,
                        match=r"narrow band at t = 0, step 1, grid n = 64$"):
