@@ -209,12 +209,14 @@ def step(fld: ScalarField, spec: ModelSpec, dt: float, *,
 def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
              snapshot_times=None, *, reaction: bool = True) -> list[ScalarField]:
     """March to t_end with the stability step, landing exactly on snapshots."""
+    targets = sorted(set(float(s) for s in (snapshot_times or [])) | {float(t_end)})
+    if not np.isfinite(targets).all():
+        raise ConfigError("t_end and snapshot times must be finite")
     if t_end < 0.0:
         raise ConfigError("t_end must be nonnegative")
     if not np.isfinite(u0.values).all():
         raise Blowup(f"initial data is not finite (eps = {spec.epsilon:g}, "
                      f"grid n = {u0.grid.n})")
-    targets = sorted(set(float(s) for s in (snapshot_times or [])) | {float(t_end)})
     if targets[0] < 0.0 or targets[-1] > t_end:
         raise ConfigError("snapshot times must lie in [0, t_end]")
 

@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"eta_g must lie in (0, {eta0}), got {self.eta_g}")
         if not (0.0 < self.eta_p < eta0):
             raise ConfigError(f"eta_p must lie in (0, {eta0}), got {self.eta_p}")
+        if not np.isfinite((self.t_end, *self.checkpoints)).all():
+            raise ConfigError("t_end and checkpoints must be finite")
         if self.t_end < 0.0:
             raise ConfigError("t_end must be nonnegative")
         if any(c < 0.0 or c > self.t_end for c in self.checkpoints):

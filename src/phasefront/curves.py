@@ -7,6 +7,12 @@ counterclockwise (positive shoelace area) with curvature +1/R on a circle.
 
 Vertices are stored unwrapped (continuous coordinates, possibly outside
 [0,1)); ``wraps`` records the net winding for non-contractible contours.
+
+Curves come out of their builders complete. ``marching_squares`` directs
+every cell segment as it makes it, so each loop is one walk of a successor
+map and needs no orientation pass. ``geometry`` and ``resample`` read normals
+and curvature off the periodic chord-length spline they fit, so a resampled
+curve needs no refit.
 """
 
 from __future__ import annotations
@@ -19,9 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateCurve, OpenContour
-
-_EDGE_AXIS = {"h": 0, "v": 1}
+from .errors import DegenerateCurve
 
 
 @dataclass
@@ -117,6 +121,18 @@ def _chord_fit(curve: FrontCurve):
     return spline, t, w
 
 
+def _frame(spline, s: np.ndarray, t: np.ndarray, w: np.ndarray):
+    """Unit outward normals and curvature of a ``_chord_fit`` at parameters s."""
+    d1 = spline(s, 1) + w / t[-1]
+    d2 = spline(s, 2)
+    speed = np.linalg.norm(d1, axis=1)
+    if speed.min() <= 0.0:
+        raise DegenerateCurve("vanishing parameterization speed")
+    kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
+    tau = d1 / speed[:, None]
+    return np.stack([tau[:, 1], -tau[:, 0]], axis=1), kappa
+
+
 def geometry(curve: FrontCurve, checked: bool = True) -> FrontCurve:
     """Fill unit outward normals and curvature from the periodic chord fit.
 
@@ -130,29 +146,24 @@ def geometry(curve: FrontCurve, checked: bool = True) -> FrontCurve:
     if checked and not is_simple(curve):
         raise DegenerateCurve("curve is self-intersecting")
     spline, t, w = _chord_fit(curve)
-    d1 = spline(t[:-1], 1) + w / t[-1]
-    d2 = spline(t[:-1], 2)
-    speed = np.linalg.norm(d1, axis=1)
-    if speed.min() <= 0.0:
-        raise DegenerateCurve("vanishing parameterization speed")
-    kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
-    tau = d1 / speed[:, None]
-    normals = np.stack([tau[:, 1], -tau[:, 0]], axis=1)
+    normals, kappa = _frame(spline, t[:-1], t, w)
     return replace(curve, normals=normals, curvature=kappa)
 
 
 def resample(curve: FrontCurve, n_vertices: int) -> FrontCurve:
     """Near-uniform chord-length resampling of the periodic fit.
 
-    Keeps vertex 0 and the winding ``wraps``; repeated consecutive vertices
-    raise ``DegenerateCurve``.
+    Keeps vertex 0 and the winding ``wraps``, and carries the fit's normals
+    and curvature at the new vertices, as ``geometry`` would read them off
+    the same fit; repeated consecutive vertices raise ``DegenerateCurve``.
     """
     if n_vertices < 8:
         raise DegenerateCurve("resampling below 8 vertices")
     spline, t, w = _chord_fit(curve)
     targets = np.linspace(0.0, t[-1], n_vertices, endpoint=False)
     pts = spline(targets) + np.outer(targets / t[-1], w)
-    return replace(curve, vertices=pts, normals=None, curvature=None)
+    normals, kappa = _frame(spline, targets, t, w)
+    return replace(curve, vertices=pts, normals=normals, curvature=kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -263,126 +274,79 @@ def hausdorff(curve_a: FrontCurve, curve_b: FrontCurve) -> float:
 # marching squares on the periodic grid
 # ---------------------------------------------------------------------------
 
-_CASE_SEGMENTS = {
-    1: [(0, 3)], 2: [(0, 1)], 3: [(1, 3)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(2, 3)], 8: [(2, 3)], 9: [(0, 2)],
-    11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(0, 3)],
-}
-
-
 def marching_squares(values: np.ndarray, h: float, level: float) -> list[FrontCurve]:
     """Extract level-set loops of a periodic cell-centered field.
 
     Returns closed loops oriented with the high side (values > level) on the
-    right of travel; ambiguous saddle cells are split by the midpoint rule.
+    right of travel. Walking the boundary of cell (i, j) counterclockwise,
+    through corners (i, j), (i+1, j), (i+1, j+1), (i, j+1), a crossed edge
+    is an entry where the walk goes from low to high and an exit where it
+    goes from high to low; each segment runs from its cell's entry to its
+    exit, high side on the right. In a saddle cell the midpoint rule picks
+    the next exit when the cell centre is low and the previous one when it is
+    high. Every crossed edge is the exit of one cell and the entry of its
+    neighbour, so a loop is one walk of the successor map entry -> exit.
     """
     n0, n1 = values.shape
-    origin = 0.5 * h                               # the first cell centre
     high = values > level
-
-    cross_h = high ^ np.roll(high, -1, axis=0)     # edge (i,j)->(i+1,j)
-    cross_v = high ^ np.roll(high, -1, axis=1)     # edge (i,j)->(i,j+1)
-    if not (cross_h.any() or cross_v.any()):
+    corner = np.stack([high, np.roll(high, -1, axis=0),
+                       np.roll(high, (-1, -1), axis=(0, 1)),
+                       np.roll(high, -1, axis=1)], axis=-1).reshape(-1, 4)
+    ahead = np.roll(corner, -1, axis=1)        # the corner after each edge
+    cell, pos = np.nonzero(~corner & ahead)    # entries, in cell order
+    if not len(cell):
         return []
 
-    u_next_x = np.roll(values, -1, axis=0)
-    u_next_y = np.roll(values, -1, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac_h = (level - values) / (u_next_x - values)
-        frac_v = (level - values) / (u_next_y - values)
+    # the exit from entry pos: the first high -> low edge after it on the
+    # walk, or in a saddle cell with a high centre the one before it
+    exits = corner[cell] & ~ahead[cell]
+    after = exits[np.arange(len(cell))[:, None], (pos[:, None] + [1, 2, 3]) % 4]
+    step = 1 + np.argmax(after, axis=1)
+    saddle = np.flatnonzero(exits.sum(axis=1) == 2)
+    i, j = np.divmod(cell[saddle], n1)
+    ip, jp = (i + 1) % n0, (j + 1) % n1
+    centre_high = (values[i, j] + values[ip, j]
+                   + values[ip, jp] + values[i, jp]) > 4.0 * level
+    step[saddle[centre_high]] = 3
+    entry, exit_ = _edge_ids(cell, pos, n0, n1), _edge_ids(cell, (pos + step) % 4, n0, n1)
+    slot = np.empty(2 * n0 * n1, dtype=np.intp)
+    slot[entry] = np.arange(len(entry))
+    successor = slot[exit_].tolist()
 
-    def edge_point(kind, i, j):
-        if kind == "h":
-            return np.array([origin + (i + frac_h[i, j]) * h, origin + j * h])
-        return np.array([origin + i * h, origin + (j + frac_v[i, j]) * h])
+    # each entry's crossing on its edge from corner (i, j) along the axis
+    axis, flat = np.divmod(entry, n0 * n1)
+    i, j = np.divmod(flat, n1)
+    frac = (level - values[i, j]) / (values[(i + 1 - axis) % n0, (j + axis) % n1]
+                                     - values[i, j])
+    origin = 0.5 * h                               # the first cell centre
+    points = (origin + np.stack([i + frac * (1 - axis), j + frac * axis], axis=1) * h) % 1.0
 
-    # cell segments: list of (key_a, key_b); keys identify crossed edges
-    cell_has = cross_h | np.roll(cross_h, -1, axis=1) | cross_v | np.roll(cross_v, -1, axis=0)
-    segments = []                 # (key_a, key_b)
-    key_segments: dict = {}       # key -> [segment ids]
-    for i, j in np.argwhere(cell_has):
-        ip, jp = (i + 1) % n0, (j + 1) % n1
-        c = (int(high[i, j]) | int(high[ip, j]) << 1
-             | int(high[ip, jp]) << 2 | int(high[i, jp]) << 3)
-        if c in (0, 15):
-            continue
-        keys = (("h", i, j), ("v", ip, j), ("h", i, jp), ("v", i, j))
-        if c in (5, 10):
-            center_high = (values[i, j] + values[ip, j]
-                           + values[ip, jp] + values[i, jp]) > 4.0 * level
-            if c == 5:
-                pairs = [(0, 1), (2, 3)] if center_high else [(0, 3), (1, 2)]
-            else:
-                pairs = [(0, 3), (1, 2)] if center_high else [(0, 1), (2, 3)]
-        else:
-            pairs = _CASE_SEGMENTS[c]
-        for ea, eb in pairs:
-            sid = len(segments)
-            segments.append((keys[ea], keys[eb]))
-            key_segments.setdefault(keys[ea], []).append(sid)
-            key_segments.setdefault(keys[eb], []).append(sid)
-
-    for key, sids in key_segments.items():
-        if len(sids) != 2:
-            raise OpenContour(f"edge {key} has {len(sids)} incident segments")
-
-    positions = {key: edge_point(*key) % 1.0 for key in key_segments}
-    loops = _stitch_loops(segments, key_segments, positions)
-    return [_orient_loop(loop_keys, verts, wraps, high, n0, n1, h)
-            for loop_keys, verts, wraps in loops]
-
-
-def _min_image(delta: np.ndarray) -> np.ndarray:
-    return delta - np.round(delta)
-
-
-def _stitch_loops(segments, key_segments, positions):
-    used = np.zeros(len(segments), dtype=bool)
+    seen = bytearray(len(entry))
     loops = []
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        keys = [segments[start][0]]
-        verts = [positions[keys[0]]]
-        sid, enter = start, segments[start][0]
-        while True:
-            used[sid] = True
-            ka, kb = segments[sid]
-            exit_key = kb if enter == ka else ka
-            prev = verts[-1]
-            step = _min_image(positions[exit_key] - (prev % 1.0))
-            verts.append(prev + step)
-            a, b = key_segments[exit_key]
-            nxt = b if a == sid else a
-            if nxt == start:
-                break
-            keys.append(exit_key)
-            sid, enter = nxt, exit_key
-        verts = np.array(verts)
-        wraps = tuple(int(round(w)) for w in
-                      (verts[-1] + _min_image(positions[keys[0]] - (verts[-1] % 1.0))
-                       - verts[0]))
-        loops.append((keys, verts[:len(keys)] if len(verts) > len(keys) else verts,
-                      wraps))
+    for start in range(len(entry)):
+        loop, k = [], start
+        while not seen[k]:
+            seen[k] = 1
+            loop.append(k)
+            k = successor[k]
+        if loop:
+            loops.append(_unwrapped_loop(points[loop], h))
     return loops
 
 
-def _orient_loop(keys, verts, wraps, high, n0, n1, h) -> FrontCurve:
-    curve = FrontCurve(verts, h_target=h, wraps=wraps)
-    m = len(verts)
-    for k in range(m):
-        kind, i, j = keys[k]
-        t = verts[(k + 1) % m] - verts[k]
-        if np.linalg.norm(t) < 1e-15:
-            continue
-        if kind == "h":
-            d_high = np.array([-1.0, 0.0]) if high[i, j] else np.array([1.0, 0.0])
-        else:
-            d_high = np.array([0.0, -1.0]) if high[i, j] else np.array([0.0, 1.0])
-        cross = t[0] * d_high[1] - t[1] * d_high[0]
-        if abs(cross) < 1e-12:
-            continue
-        if cross > 0.0:
-            curve = curve.reversed()
-        return curve
-    return curve
+def _edge_ids(cell: np.ndarray, pos: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """Ids of the edges at walk positions pos of flat cells: id i*n1 + j is the
+    edge (i, j) -> (i+1, j) and n0*n1 + i*n1 + j the edge (i, j) -> (i, j+1)."""
+    i, j = np.divmod(cell, n1)
+    i = np.where(pos == 1, (i + 1) % n0, i)
+    j = np.where(pos == 2, (j + 1) % n1, j)
+    return (pos % 2) * (n0 * n1) + i * n1 + j
+
+
+def _unwrapped_loop(points: np.ndarray, h: float) -> FrontCurve:
+    """The closed loop through points in [0, 1), lifted by whole periods so
+    that each step is the minimum-image one."""
+    lift = -np.round(np.roll(points, -1, axis=0) - points)
+    verts = points + np.concatenate([[[0.0, 0.0]], np.cumsum(lift[:-1], axis=0)])
+    wraps = tuple(int(w) for w in lift.sum(axis=0))
+    return FrontCurve(verts, h_target=h, wraps=wraps)

@@ -80,10 +80,6 @@ class NoContour(PhasefrontError):
     """The requested level is not crossed by the field."""
 
 
-class OpenContour(PhasefrontError):
-    """Contour stitching failed to close a loop."""
-
-
 # -- front tracking / level set ----------------------------------------------
 
 class DegenerateCurve(PhasefrontError):

@@ -5,10 +5,11 @@ Both solvers realize one law, the planar form of V = -sum_ij mu_ij(n) d_i n_j:
     V_n = -kappa w(n),    w(n) = tau . mu(n) tau,    tau = (-n_y, n_x),
 
 with the weight w from ``MobilityTensor.tangential_weight``. The front
-tracker moves markers along their normals by it. The level-set route starts
-from the signed torus distance to the front, exact at every cell centre
-(``curves.points_to_curve_distance``, a periodic k-d tree query), and
-advances it with
+tracker moves markers along their normals by it and fits one spline per
+curve state, which gives that state's normals and curvature. The level-set
+route starts from the signed torus distance to the front, exact at every
+cell centre (``curves.points_to_curve_distance``, a periodic k-d tree
+query), and advances it with
 
     d_t = w(n) tau^T (grad^2 d) tau,    n = grad d / |grad d|,
 
@@ -16,9 +17,9 @@ reading w from a dense angle table and reinitializing every
 ``REINIT_EVERY`` steps so |grad d| stays near one in the band.
 
 The level set is local (Adalsteinsson & Sethian 1995; Peng et al. 1999):
-a ``SignedDistanceField`` carries the flat indices of its band cells and of
-their periodic neighbours, and a step gathers the stencil from them and
-scatters the update into a copy, leaving every other cell as it was.
+a frozen ``SignedDistanceField`` carries the flat indices of its band cells
+and of their periodic neighbours, and a step gathers the stencil from them
+and scatters the update into a copy, leaving every other cell as it was.
 ``signed_distance`` puts the band at |d| < ``BAND_CELLS`` h; a field built
 by hand has every cell in its band. Each reinitialization relaxes the band
 plus one ring of cells around it, clamps d to +-``BAND_CELLS`` h and rebuilds
@@ -72,11 +73,13 @@ def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float) -> FrontC
     Each substep satisfies dt_sub <= FRONT_CFL * (min spacing)^2 / max(w)
     (the spline curvature operator is stiffer than a 3-point stencil, hence
     the margin below 1/6); redistribution to near-uniform arclength and the
-    topology checks run once per outer step. The returned curve carries its
-    normals and curvature, which the next step's first substep reuses.
+    topology checks run once per outer step. Each curve state is fitted once:
+    substeps 2..k refit the moved markers, and the redistribution's fit gives
+    the returned curve its normals and curvature, which the next step's first
+    substep reuses.
     """
-    if dt <= 0.0:
-        raise ConfigError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ConfigError("dt must be finite and positive")
     cur = curve
     remaining = dt
     while remaining > 1e-18:
@@ -100,14 +103,18 @@ def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float) -> FrontC
             f"front area {enclosed_area(cur):.3e} below the resolvable minimum")
     if not is_simple(cur):
         raise SelfIntersection("front crossed itself (topology change)")
-    return geometry(cur, checked=False)
+    return cur
 
 
 def _march(state, advance, t_end: float, dt: float, checkpoints, where) -> list:
     """(t, state) at each checkpoint and t_end, marching advance(state, h) in
     steps h <= dt that land exactly on them. A step's error is re-raised as
     its own type, naming t, the step index and where(state) before it."""
+    if not 0.0 < dt < np.inf:
+        raise ConfigError(f"dt must be finite and positive, got {dt:g}")
     targets = sorted(set(float(c) for c in (checkpoints or [])) | {float(t_end)})
+    if not np.isfinite(targets).all():
+        raise ConfigError("t_end and checkpoints must be finite")
     if targets[0] < 0.0 or targets[-1] > t_end:
         raise ConfigError("checkpoints must lie in [0, t_end]")
     out, t, steps = [], 0.0, 0
@@ -136,13 +143,15 @@ def evolve_front(curve: FrontCurve, mobility: MobilityTensor, t_end: float,
 # signed distance construction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SignedDistanceField:
     """Signed distance samples: positive outside the front (high-phase side).
 
     ``stencil`` (9, m) holds flat indices into ``values``: row 0 the m band
     cells the level set updates, rows 1-8 their periodic neighbours in the
-    order of ``_stencil``. Without one, every cell is in the band.
+    order of ``_stencil``. Without one, every cell is in the band. The field
+    is frozen, so its band cannot go stale: new values make a new field, and
+    every step and reinitialization returns one on a fresh array.
     """
 
     grid: Grid
@@ -151,15 +160,12 @@ class SignedDistanceField:
     stencil: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape != (self.grid.n, self.grid.n):
             raise ConfigError("field shape does not match the grid")
         if self.stencil is None:
-            self.stencil = _stencil(np.arange(self.grid.n ** 2), self.grid.n)
-
-    def copy(self) -> "SignedDistanceField":
-        return SignedDistanceField(self.grid, self.values.copy(), self.steps_taken,
-                                   self.stencil)
+            object.__setattr__(self, "stencil",
+                               _stencil(np.arange(self.grid.n ** 2), self.grid.n))
 
 
 def _stencil(cells: np.ndarray, n: int) -> np.ndarray:
@@ -336,9 +342,8 @@ def evolve_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
     at the first step."""
     if dt is None:
         dt = level_set_dt(mobility, sdf.grid)
-    history = _march(sdf, lambda d, h: step_level_set(d, mobility, h), t_end, dt,
-                     checkpoints, lambda d: f"grid n = {d.grid.n}")
-    return [(t, d.copy()) for t, d in history]
+    return _march(sdf, lambda d, h: step_level_set(d, mobility, h), t_end, dt,
+                  checkpoints, lambda d: f"grid n = {d.grid.n}")
 
 
 def zero_contour(sdf: SignedDistanceField) -> FrontCurve:

@@ -79,6 +79,24 @@ def test_simulate_rejects_malformed_snapshots(cubic_cfg, tmp_path, capsys):
     assert "--snapshots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "--mode", "front", "--tend", "0.0005", "--dt", "nan"],
+    ["flow", "--mode", "front", "--tend", "nan"],
+    ["flow", "--mode", "levelset", "--tend", "nan"],
+    ["simulate", "--tend", "nan"],
+    ["simulate", "--tend", "0.0002", "--snapshots", "nan"],
+], ids=["front-dt", "front-tend", "levelset-tend", "simulate-tend",
+        "simulate-snapshot"])
+def test_non_finite_times_exit_3_before_any_output(cubic_cfg, tmp_path, capsys, argv):
+    size = ["--grid", "32", "--angles", "64", "--markers", "64",
+            "--out", str(tmp_path / "out.csv")]
+    if argv[0] == "simulate":
+        size = ["--grid", "32", "--out-prefix", str(tmp_path / "run")]
+    assert cli_main(argv + ["--config", cubic_cfg] + size) == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*")) and not list(tmp_path.glob("run*"))
+
+
 def test_converge_rejects_malformed_eps(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({

@@ -103,6 +103,19 @@ def test_marching_squares_saddles_close():
         assert np.isfinite(c.vertices).all()
 
 
+@pytest.mark.parametrize("peak, n_loops", [(1.0, 2), (3.0, 1)],
+                         ids=["low-centre", "high-centre"])
+def test_marching_squares_midpoint_rule_splits_saddles(peak, n_loops):
+    # cell (1, 1) has high corners (1, 1) and (2, 2); its centre value is the
+    # mean of its corners, (peak - 1) / 4
+    u = -np.ones((6, 6))
+    u[1, 1], u[2, 2] = 1.0, peak
+    loops = marching_squares(u, 1.0 / 6, 0.0)
+    assert len(loops) == n_loops
+    assert sum(c.n_vertices for c in loops) == 8
+    assert all(enclosed_area(c) < 0.0 for c in loops)     # high inside: clockwise
+
+
 def test_marching_squares_subcell_accuracy():
     n = 128
     h = 1.0 / n
@@ -114,12 +127,62 @@ def test_marching_squares_subcell_accuracy():
     assert np.abs(r - 0.25).max() <= h     # sub-cell interpolation accuracy
 
 
+def _periodic_field(rng, n: int) -> np.ndarray:
+    """Smooth random periodic field plus white noise, which makes saddles."""
+    k = np.fft.fftfreq(n) * n
+    modes = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    modes *= np.exp(-(k[:, None] ** 2 + k[None, :] ** 2) / 8.0)
+    smooth = np.fft.ifft2(modes).real
+    return smooth / smooth.std() + 0.5 * rng.normal(size=(n, n))
+
+
+def _same_cycle(a: np.ndarray, b: np.ndarray) -> bool:
+    """b's vertices are a's, mod 1, from some start vertex on."""
+    if a.shape != b.shape:
+        return False
+    gap = b - a[0]
+    starts = np.flatnonzero(np.abs(gap - np.round(gap)).max(axis=1) <= 1e-15)
+    for r in starts:
+        diff = np.roll(b, -r, axis=0) - a
+        if np.abs(diff - np.round(diff)).max() <= 1e-15:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_marching_squares_negated_field_reverses_loops(seed):
+    rng = np.random.default_rng(seed)
+    n = (24, 32, 64)[seed % 3]
+    u = _periodic_field(rng, n)
+    level = 0.2 * rng.normal()
+    high = u > level
+    c0, c1 = high, np.roll(high, -1, axis=0)
+    c2, c3 = np.roll(high, (-1, -1), axis=(0, 1)), np.roll(high, -1, axis=1)
+    assert ((c0 == c2) & (c1 == c3) & (c0 != c1)).any(), "no saddle cell"
+
+    loops = marching_squares(u, 1.0 / n, level)
+    crossed = (high ^ c1).sum() + (high ^ c3).sum()
+    assert sum(c.n_vertices for c in loops) == crossed
+    negated = marching_squares(-u, 1.0 / n, -level)
+    assert len(negated) == len(loops)
+    unmatched = list(loops)
+    for c in negated:
+        back = c.reversed()
+        hit = [k for k, f in enumerate(unmatched)
+               if f.wraps == back.wraps and _same_cycle(f.vertices, back.vertices)]
+        assert len(hit) == 1
+        unmatched.pop(hit[0])
+
+
 def test_resample_preserves_shape_and_spacing():
     c = circle_curve((0.5, 0.5), 0.25, 300)
     r = resample(c, 128)
     assert r.n_vertices == 128
     radii = np.linalg.norm(r.vertices - 0.5, axis=1)
     assert np.abs(radii - 0.25).max() <= 1e-5
+    radial = (r.vertices - 0.5) / radii[:, None]
+    assert np.abs(r.normals - radial).max() <= 1e-6
+    assert np.abs(r.curvature - 1.0 / 0.25).max() <= 1e-3
     seg = np.linalg.norm(np.diff(r.closed_loop(), axis=0), axis=1)
     assert seg.max() / seg.min() <= 1.01
     assert curve_length(r) == pytest.approx(curve_length(c), rel=1e-3)
@@ -148,6 +211,12 @@ def test_wrapping_fit_matches_graph_curvature_and_resamples_on_curve():
     assert np.array_equal(r.vertices[0], c.vertices[0])
     y_graph = 0.5 + amp * np.sin(2 * np.pi * r.vertices[:, 0])
     assert np.abs(r.vertices[:, 1] - y_graph).max() <= 1e-7
+    x = r.vertices[:, 0]
+    fp = 2 * np.pi * amp * np.cos(2 * np.pi * x)
+    fpp = -(2 * np.pi) ** 2 * amp * np.sin(2 * np.pi * x)
+    assert np.abs(r.curvature - fpp / (1 + fp**2) ** 1.5).max() <= 2e-3
+    normals = np.stack([fp, -np.ones(100)], axis=1) / np.sqrt(1 + fp**2)[:, None]
+    assert np.abs(r.normals - normals).max() <= 1e-6
     seg = np.linalg.norm(np.diff(r.closed_loop(), axis=0), axis=1)
     assert seg.max() / seg.min() <= 1.01
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from helpers import rotate_curve, rounded_square_curve, translate_curve, turning_number
 
-from phasefront import errors
+from phasefront import curves, errors
 from phasefront.acsolver import Grid
 from phasefront.curves import (
     circle_curve,
@@ -145,6 +146,20 @@ def test_front_tangential_weights_positive(diag_mobility):
     for _ in range(20):
         cur = step_front(cur, diag_mobility, 1e-5)
         assert diag_mobility.tangential_weight(cur.normals).min() > 0.0
+
+
+def test_step_front_fits_each_curve_state_once(identity_mobility, monkeypatch):
+    cur = step_front(circle_curve((0.5, 0.5), 0.25, 128, h_target=0.012),
+                     identity_mobility, 1e-5)
+    fits, substeps = [], []
+    fit, weight = curves._chord_fit, identity_mobility.tangential_weight
+    monkeypatch.setattr(curves, "_chord_fit", lambda c: fits.append(c) or fit(c))
+    monkeypatch.setattr(identity_mobility, "tangential_weight",
+                        lambda n: substeps.append(n) or weight(n))
+    step_front(cur, identity_mobility, 2e-4)
+    assert len(substeps) >= 2
+    # the refits of substeps 2..k, and the resample
+    assert len(fits) == len(substeps)
 
 
 def test_front_extinction_is_terminal(identity_mobility):
@@ -342,22 +357,33 @@ def test_evolve_level_set_failure_names_where_it_fired():
         evolve_level_set(flat, mob, 1e-4)
 
 
-@pytest.mark.parametrize("checkpoint", [3.0, -1.0], ids=["past-t_end", "negative"])
-def test_level_set_rejects_checkpoints_outside_span(identity_mobility, checkpoint):
+@pytest.mark.parametrize("t_end, dt, checkpoint", [
+    (1.0, 1.0, 3.0), (1.0, 1.0, -1.0), (np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0),
+    (1.0, 1.0, np.nan), (1.0, np.nan, 1.0), (1.0, 0.0, 1.0), (1.0, -1.0, 1.0),
+    (1.0, np.inf, 1.0),
+], ids=["past-t_end", "negative", "nan-t_end", "inf-t_end", "nan-checkpoint",
+        "nan-dt", "zero-dt", "negative-dt", "inf-dt"])
+def test_level_set_rejects_checkpoints_outside_span(identity_mobility, t_end, dt,
+                                                     checkpoint):
     g = Grid(32)
     sdf = signed_distance(circle_curve((0.5, 0.5), 0.25, 64), g)
-    dt = level_set_dt(identity_mobility, g)
+    bound = level_set_dt(identity_mobility, g)
     with pytest.raises(errors.ConfigError):
-        evolve_level_set(sdf, identity_mobility, dt, dt=dt,
-                         checkpoints=[checkpoint * dt])
+        evolve_level_set(sdf, identity_mobility, t_end * bound, dt=dt * bound,
+                         checkpoints=[checkpoint * bound])
 
 
 def test_zero_contour_requires_crossing():
     g = Grid(64)
     sdf = signed_distance(circle_curve((0.5, 0.5), 0.25, 64), g)
-    sdf.values = np.abs(sdf.values) + 0.1
     with pytest.raises(errors.NoContour):
-        zero_contour(sdf)
+        zero_contour(SignedDistanceField(g, np.abs(sdf.values) + 0.1))
+
+
+def test_signed_distance_field_is_frozen():
+    sdf = signed_distance(circle_curve((0.5, 0.5), 0.25, 64), Grid(32))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sdf.values = np.zeros((32, 32))
 
 
 def test_planar_reduction_matches_raw_hessian_form(diag_mobility):

@@ -112,6 +112,10 @@ def test_config_validation():
         _experiment(seed=0)
     with pytest.raises(errors.ConfigError):
         _experiment(times={"t_end": 0.005, "bogus": 1})
+    for times in ({"t_end": float("nan")}, {"t_end": float("inf")},
+                  {"t_end": 0.005, "checkpoints": [float("nan")]}):
+        with pytest.raises(errors.ConfigError, match="must be finite"):
+            _experiment(times=times)
     cfg = _experiment()
     assert cfg.grid_size_for(0.08) == 64
     assert cfg.grid_size_for(0.01) == 512
