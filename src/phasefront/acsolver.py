@@ -11,12 +11,23 @@ One scheme path serves every diffusivity: a constant entry is a degree-0
 polynomial, whose face value is a scalar factor. ``simulate`` and
 ``ordering_check`` march a per-run stepper that computes the stability bound
 and the Horner coefficients once and works on preallocated buffers; ``step``
-is the CFL-checked single-step wrapper around the same stepper.
+is the CFL-checked single-step wrapper around the same stepper. The stepper
+splits the grid into row blocks, one per usable CPU but none under
+ROWS_PER_BLOCK rows, and steps them on threads with one kernel; numpy
+releases the interpreter lock inside the slice operations, and every cell
+sees the same arithmetic however the rows are split.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import logging
+import math
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +38,12 @@ from .errors import Blowup, CFLViolated, ConfigError, NoContour
 from .model import ModelSpec
 
 CFL_REACTION_SAFETY = 0.2
+# A grid is split into row blocks of at least this many rows, one per usable
+# CPU. Smaller blocks lose more to the thread handoff than they gain: on a
+# 2-core machine a 128^2 step split in two took 0.26 ms against 0.18 ms whole.
+ROWS_PER_BLOCK = 128
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -86,6 +103,13 @@ def _descending(poly) -> np.ndarray:
     return poly.trim().coef[::-1]
 
 
+def _flux_factor(poly):
+    """Horner coefficients of a diagonal entry of D, or None when the entry
+    is the constant 1: a flux times 1.0 is the same flux, bit for bit."""
+    coefs = _descending(poly)
+    return None if coefs.size == 1 and coefs[0] == 1.0 else coefs
+
+
 def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray):
     """Evaluate the polynomial at x into out; degree 0 gives its scalar.
 
@@ -103,23 +127,70 @@ def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray):
     return out
 
 
-def _periodic(op, u: np.ndarray, p: int, q: int, out: np.ndarray) -> np.ndarray:
-    """out[i] = op(u[i + p], u[i + q]) along axis 0 with periodic wrap, for
+def _periodic_cols(op, v: np.ndarray, p: int, q: int,
+                   out: np.ndarray) -> np.ndarray:
+    """out[:, j] = op(v[:, j + p], v[:, j + q]) with periodic wrap in j, for
     offsets p, q in {-1, 0, 1}: the interior is one slice operation and the
-    at most two wrapped rows are done one by one."""
-    n = u.shape[0]
+    at most two wrapped columns are done one by one."""
+    n = v.shape[1]
     lo, hi = max(0, -p, -q), max(0, p, q)
-    op(u[lo + p:n - hi + p], u[lo + q:n - hi + q], out=out[lo:n - hi])
-    for i in (*range(lo), *range(n - hi, n)):
-        op(u[(i + p) % n], u[(i + q) % n], out=out[i])
+    op(v[:, lo + p:n - hi + p], v[:, lo + q:n - hi + q], out=out[:, lo:n - hi])
+    for j in (*range(lo), *range(n - hi, n)):
+        op(v[:, (j + p) % n], v[:, (j + q) % n], out=out[:, j])
     return out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _block_count(n: int) -> int:
+    """One block per usable CPU, but no block under ROWS_PER_BLOCK rows."""
+    return max(1, min(_usable_cpus(), n // ROWS_PER_BLOCK))
+
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The executor that runs every row block past the caller's own, created
+    on first use and shared by every stepper of the process."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
+                                       thread_name_prefix="phasefront-rows")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: start afresh."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 class _Stepper:
     """Forward-Euler march of one (spec, grid, reaction) on preallocated
-    buffers: the stability bound and the Horner coefficients are computed
-    once, the field and the right-hand side ping-pong between two buffers,
-    and every stencil is a periodic slice difference written in place."""
+    buffers.
+
+    The stability bound and the Horner coefficients are computed once. The
+    field lives in an (n+2) x n buffer whose first and last rows are ghost
+    copies of rows n-1 and 0, so every row block reads its one-row halo as a
+    plain slice. One kernel steps a block of rows into the second buffer;
+    the caller runs the first block and the shared pool the others, joined
+    once per step, after which the ghost rows are refreshed and the two
+    buffers swap. A block no worker has started by the time the caller is
+    done is taken back and stepped by the caller. Each block owns three work
+    arrays of its rows plus the halo. A grid under 2 * ROWS_PER_BLOCK rows
+    is one block on the caller.
+    """
 
     def __init__(self, fld: ScalarField, spec: ModelSpec, *,
                  reaction: bool = True):
@@ -128,17 +199,32 @@ class _Stepper:
         self.eps = spec.epsilon
         self.dt_max = stability_dt(spec, grid)
         d = spec.diffusivity
-        self.d11 = _descending(d.entry(0, 0))
-        self.d22 = _descending(d.entry(1, 1))
+        self.d11 = _flux_factor(d.entry(0, 0))
+        self.d22 = _flux_factor(d.entry(1, 1))
         d12 = _descending(d.entry(0, 1))
         self.d12 = d12 if d12.size > 1 or d12[0] != 0.0 else None
         self.f = _descending(spec.reaction.poly) if reaction else None
         self.inv_h2 = 1.0 / (grid.h * grid.h)
         n = grid.n
-        self.u = np.array(fld.values, dtype=float)
-        self.a, self.b, self.c, self.rhs = (np.empty((n, n)) for _ in range(4))
+        self.buf, self.spare = np.empty((n + 2, n)), np.empty((n + 2, n))
+        self.buf[1:-1] = fld.values
+        self._refresh_ghosts(self.buf)
+        k = _block_count(n)
+        edges = [n * i // k for i in range(k + 1)]
+        self.blocks = [(r0, r1, *(np.empty((r1 - r0 + 2, n)) for _ in range(3)))
+                       for r0, r1 in zip(edges[:-1], edges[1:])]
         self.t = fld.t
         self.step_index = 0
+
+    @property
+    def u(self) -> np.ndarray:
+        """The field: a view of the buffer without its ghost rows."""
+        return self.buf[1:-1]
+
+    @staticmethod
+    def _refresh_ghosts(buf: np.ndarray) -> None:
+        buf[0] = buf[-2]
+        buf[-1] = buf[1]
 
     def _where(self) -> str:
         return (f"t = {self.t:g}, step {self.step_index}, "
@@ -147,23 +233,58 @@ class _Stepper:
     def field(self) -> ScalarField:
         return ScalarField(self.grid, self.u.copy(), self.t)
 
-    def _flux_divergence(self, coefs, axis: int) -> None:
-        """Add to rhs the flux D(face mean) (u(+1) - u) minus the same flux
-        one cell back, along axis; axis 0 starts rhs afresh."""
-        u, a, b, c, rhs = (x if axis == 0 else x.T
-                           for x in (self.u, self.a, self.b, self.c, self.rhs))
-        face = b
-        if coefs.size > 1:
-            _periodic(np.add, u, 0, 1, face)
-            face *= 0.5
-        flux = _periodic(np.subtract, u, 1, 0, a)
-        flux *= _horner(coefs, face, c)
-        if axis == 0:
-            _periodic(np.subtract, flux, 0, -1, rhs)
-        else:
-            rhs += flux
-            rhs[1:] -= flux[:-1]
-            rhs[:1] -= flux[-1:]
+    def _kernel(self, block, buf: np.ndarray, new: np.ndarray, dt: float):
+        """Step rows r0..r1-1 of the field in buf into the same rows of new
+        and return their min and max.
+
+        v holds the block's rows with one halo row on each side, so v[k] is
+        field row r0 - 1 + k; the axis-0 flux is taken on the m + 1 faces
+        between them and the cross term's x-derivative on all m + 2 rows.
+        """
+        r0, r1, a, b, c = block
+        m = r1 - r0
+        v = buf[r0:r1 + 2]
+        mid = v[1:-1]
+        rhs = new[r0 + 1:r1 + 1]
+
+        flux = np.subtract(v[1:], v[:-1], out=a[:m + 1])
+        if self.d11 is not None:
+            face = b[:m + 1]
+            if self.d11.size > 1:
+                np.add(v[:-1], v[1:], out=face)
+                face *= 0.5
+            flux *= _horner(self.d11, face, c[:m + 1])
+        np.subtract(flux[1:], flux[:-1], out=rhs)
+
+        flux = _periodic_cols(np.subtract, mid, 1, 0, a[:m])
+        if self.d22 is not None:
+            face = b[:m]
+            if self.d22.size > 1:
+                _periodic_cols(np.add, mid, 0, 1, face)
+                face *= 0.5
+            flux *= _horner(self.d22, face, c[:m])
+        rhs += flux
+        rhs[:, 1:] -= flux[:, :-1]
+        rhs[:, :1] -= flux[:, -1:]
+        rhs *= self.inv_h2
+
+        if self.d12 is not None:
+            d12 = _horner(self.d12, v, c)
+            gx = _periodic_cols(np.subtract, v, 1, -1, b)
+            gx *= d12                               # gx = D12(u) * 2h u_y
+            cross = np.subtract(gx[2:], gx[:-2], out=a[:m])
+            gy = np.subtract(v[2:], v[:-2], out=b[:m])
+            gy *= d12[1:-1] if np.ndim(d12) else d12  # gy = D12(u) * 2h u_x
+            cross += _periodic_cols(np.subtract, gy, 1, -1, c[:m])
+            cross *= 0.25 * self.inv_h2
+            rhs += cross
+        if self.f is not None:
+            react = _horner(self.f, mid, c[:m])
+            react /= self.eps**2
+            rhs += react
+        rhs *= dt
+        np.add(mid, rhs, out=rhs)
+        return rhs.min(), rhs.max()
 
     def advance(self, dt: float) -> None:
         """One forward-Euler step of length dt."""
@@ -172,30 +293,27 @@ class _Stepper:
             raise CFLViolated(
                 f"dt = {dt:g} exceeds the stability bound {self.dt_max:g} "
                 f"at {self._where()}")
-        u, a, b, c, rhs = self.u, self.a, self.b, self.c, self.rhs
-        self._flux_divergence(self.d11, 0)
-        self._flux_divergence(self.d22, 1)
-        rhs *= self.inv_h2
-        if self.d12 is not None:
-            d12 = _horner(self.d12, u, c)
-            _periodic(np.subtract, u.T, 1, -1, b.T)
-            b *= d12                                # gx = D12(u) * 2h u_y
-            _periodic(np.subtract, b, 1, -1, a)
-            _periodic(np.subtract, u, 1, -1, b)
-            b *= d12                                # gy = D12(u) * 2h u_x
-            a += _periodic(np.subtract, b.T, 1, -1, c.T).T
-            a *= 0.25 * self.inv_h2
-            rhs += a
-        if self.f is not None:
-            react = _horner(self.f, u, c)
-            react /= self.eps**2
-            rhs += react
-        rhs *= dt
-        new = np.add(u, rhs, out=rhs)
+        buf, new = self.buf, self.spare
+        first, *rest = self.blocks
+        # workers run in a copy of the caller's context, so np.errstate holds
+        futures = [_pool().submit(contextvars.copy_context().run,
+                                  self._kernel, block, buf, new, dt)
+                   for block in rest]
+        try:
+            ranges = [self._kernel(first, buf, new, dt)]
+            # a block no worker has started yet is stepped here instead
+            ranges += [self._kernel(block, buf, new, dt) if f.cancel()
+                       else f.result() for block, f in zip(rest, futures)]
+        except BaseException:
+            for f in futures:   # no block may still write once this returns
+                if not f.cancel():
+                    f.exception()
+            raise
         self.t += dt
-        if not (np.isfinite(new.min()) and np.isfinite(new.max())):
+        if not all(math.isfinite(x) for r in ranges for x in r):
             raise Blowup(f"non-finite value at {self._where()}")
-        self.u, self.rhs = new, u
+        self._refresh_ghosts(new)
+        self.buf, self.spare = new, buf
 
 
 def step(fld: ScalarField, spec: ModelSpec, dt: float, *,
@@ -220,6 +338,7 @@ def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
     if targets[0] < 0.0 or targets[-1] > t_end:
         raise ConfigError("snapshot times must lie in [0, t_end]")
 
+    start = time.perf_counter()
     stepper = _Stepper(u0, spec, reaction=reaction)
     out = []
     for target in targets:
@@ -227,6 +346,9 @@ def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
             stepper.advance(min(stepper.dt_max, target - stepper.t))
         stepper.t = target
         out.append(stepper.field())
+    _log.debug("simulate: grid n = %d, row blocks = %d, steps = %d, "
+               "dt_max = %g, wall = %.3f s", u0.grid.n, len(stepper.blocks),
+               stepper.step_index, stepper.dt_max, time.perf_counter() - start)
     return out
 
 
@@ -243,6 +365,10 @@ def ordering_check(u_low: ScalarField, u_high: ScalarField, spec: ModelSpec,
     """March both fields in lockstep; report the worst comparison violation."""
     if u_low.grid.n != u_high.grid.n:
         raise ConfigError("fields live on different grids")
+    if not np.isfinite(t_end):
+        raise ConfigError("t_end must be finite")
+    if t_end < 0.0:
+        raise ConfigError("t_end must be nonnegative")
     violation = float(np.max(u_low.values - u_high.values))
     if violation > 0.0:
         raise ConfigError("u_low must not exceed u_high initially")

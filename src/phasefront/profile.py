@@ -109,10 +109,10 @@ def _integrate_half(slope, u_start: float, h: float, n: int, sign: float,
 
 def _z_grid(z_max: float, h_z: float) -> tuple[int, np.ndarray]:
     """Half-line step count n and the symmetric grid of 2n+1 nodes."""
-    if z_max < 10.0:
-        raise ConfigError("z_max must be at least 10")
-    if h_z > 1e-2:
-        raise ConfigError("h_z must be at most 1e-2")
+    if not 10.0 <= z_max < np.inf:
+        raise ConfigError(f"z_max must be finite and at least 10, got {z_max!r}")
+    if not 0.0 < h_z <= 1e-2:
+        raise ConfigError(f"h_z must be positive and at most 1e-2, got {h_z!r}")
     n = int(round(z_max / h_z))
     return n, (np.arange(2 * n + 1) - n) * h_z
 

@@ -1,4 +1,9 @@
+import logging
+import multiprocessing
 import re
+import threading
+import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -80,7 +85,7 @@ def test_step_requires_stable_dt():
     polynomial_diffusivity([[[1.0, 0.0, 0.2], [0.3, 0.1, 0.05]],
                             [[0.3, 0.1, 0.05], [1.5, 0.0, -0.1]]]),
 ], ids=["identity", "rotated-constant", "polynomial-cross"])
-def test_step_matches_roll_reference(diffusivity):
+def test_step_matches_roll_reference(diffusivity, monkeypatch):
     spec = ModelSpec(cubic_reaction(), diffusivity, 0.05)
     g = Grid(32)
     fld = random_smooth_field(g, np.random.default_rng(6), amplitude=0.9)
@@ -90,6 +95,22 @@ def test_step_matches_roll_reference(diffusivity):
         cur = step(cur, spec, dt)
         ref = _roll_step(ref, spec, dt, g.h)
     assert np.abs(cur.values - ref).max() <= 1e-13
+
+    # the same march split into row blocks, even and uneven, is byte-equal
+    for blocks, rows in [(2, 16), (3, 10)]:
+        _split(monkeypatch, blocks, rows)
+        assert acsolver._block_count(g.n) == blocks
+        split = fld
+        for _ in range(200):
+            split = step(split, spec, dt)
+        assert split.values.tobytes() == cur.values.tobytes()
+
+
+def _split(monkeypatch, blocks, rows):
+    """Make every grid of at least blocks * rows rows run as that many row
+    blocks, whatever the machine's CPU count."""
+    monkeypatch.setattr(acsolver, "_usable_cpus", lambda: blocks)
+    monkeypatch.setattr(acsolver, "ROWS_PER_BLOCK", rows)
 
 
 def test_simulate_computes_stability_bound_once(monkeypatch):
@@ -132,6 +153,91 @@ def test_blowup_names_where_it_fired():
     assert float(m.group(1)) == pytest.approx(first_bad * dt, rel=1e-5)
     assert float(m.group(3)) == 0.05
     assert int(m.group(4)) == 16
+
+
+def test_split_stepper_keeps_its_checks(monkeypatch):
+    spec = cubic_identity_model(0.05)
+    g = Grid(16)
+    dt = stability_dt(spec, g)
+    u0 = np.zeros((16, 16))
+    u0[10, 5] = 1e30              # rows 8-11: the third of four blocks
+
+    def blowup_message():
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(errors.Blowup) as info:
+                simulate(ScalarField(g, u0), spec, 20 * dt)
+        return str(info.value)
+
+    one_block = blowup_message()
+    _split(monkeypatch, 4, 4)
+    assert acsolver._block_count(16) == 4
+    # worker blocks run under the caller's errstate, so no RuntimeWarning
+    assert blowup_message() == one_block
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        simulate(ScalarField(g, u0), spec, 20 * dt)
+    with pytest.raises(errors.CFLViolated,
+                       match=r"at t = 0, step 1, eps = 0\.05, grid n = 16"):
+        step(trig_product_field(g), spec, 10 * dt)
+
+
+def test_split_stepper_reuses_its_threads(monkeypatch):
+    _split(monkeypatch, 2, 16)
+    spec = cubic_identity_model(0.05)
+    g = Grid(32)
+    dt = stability_dt(spec, g)
+    cur = step(trig_product_field(g), spec, dt)
+    threads = threading.active_count()
+    for _ in range(50):
+        cur = step(cur, spec, dt)
+    assert threading.active_count() <= threads
+
+
+class _StalledPool:
+    """An executor whose workers never start the blocks submitted to it."""
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+def test_caller_steps_the_blocks_no_worker_started(monkeypatch):
+    spec = cubic_identity_model(0.05)
+    g = Grid(32)
+    fld = random_smooth_field(g, np.random.default_rng(2), amplitude=0.9)
+    whole = step(fld, spec, stability_dt(spec, g))
+    _split(monkeypatch, 3, 10)
+    monkeypatch.setattr(acsolver, "_pool", _StalledPool)
+    split = step(fld, spec, stability_dt(spec, g))
+    assert split.values.tobytes() == whole.values.tobytes()
+
+
+def _step_split_grid():
+    spec = cubic_identity_model(0.05)
+    g = Grid(32)
+    step(trig_product_field(g), spec, stability_dt(spec, g))
+
+
+def test_forked_child_starts_its_own_pool(monkeypatch):
+    _split(monkeypatch, 2, 16)
+    _step_split_grid()
+    child = multiprocessing.get_context("fork").Process(target=_step_split_grid)
+    child.start()
+    child.join(timeout=30)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+    assert not alive and child.exitcode == 0
+
+
+def test_simulate_logs_one_record_per_run(caplog):
+    spec = cubic_identity_model(0.05)
+    g = Grid(16)
+    t_end = 10 * stability_dt(spec, g)
+    with caplog.at_level(logging.DEBUG, logger="phasefront.acsolver"):
+        simulate(trig_product_field(g), spec, t_end, snapshot_times=[0.5 * t_end])
+    [record] = caplog.records
+    assert re.fullmatch(r"simulate: grid n = 16, row blocks = 1, steps = 10, "
+                        r"dt_max = \S+, wall = \S+ s", record.getMessage())
 
 
 def test_constant_equilibria_are_fixed_points():
@@ -272,6 +378,16 @@ def test_ordering_identical_and_shifted():
     shifted = ScalarField(g, base.values + 0.1)
     ok, viol = ordering_check(base, shifted, spec, 20 * stability_dt(spec, g))
     assert ok and viol <= 1e-8
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -1e-4])
+def test_ordering_rejects_bad_t_end(t_end):
+    spec = cubic_identity_model(0.05)
+    g = Grid(16)
+    lo = ScalarField(g, np.full((16, 16), -0.5))
+    hi = ScalarField(g, np.full((16, 16), 0.5))
+    with pytest.raises(errors.ConfigError, match="t_end"):
+        ordering_check(lo, hi, spec, t_end)
 
 
 def test_ordering_random_pairs():

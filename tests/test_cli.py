@@ -72,6 +72,16 @@ def test_profile_rejects_malformed_direction(cubic_cfg, tmp_path, capsys, e):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,name", [("--zmax", "z_max"), ("--hz", "h_z")],
+                         ids=["zmax", "hz"])
+def test_profile_rejects_non_finite_grid(cubic_cfg, tmp_path, capsys, flag, name):
+    out = tmp_path / "profile.csv"
+    assert cli_main(["profile", "--config", cubic_cfg, "--e", "1,0",
+                     flag, "nan", "--out", str(out)]) == 3
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_malformed_snapshots(cubic_cfg, tmp_path, capsys):
     assert cli_main(["simulate", "--config", cubic_cfg, "--grid", "64",
                      "--tend", "0.0002", "--snapshots", "0.1,x",
