@@ -42,10 +42,6 @@ class NegativeW(PhasefrontError):
 
 # -- standing wave / linearized problem --------------------------------------
 
-class StallNearRoot(PhasefrontError):
-    """Profile integration produced a non-monotone step near a root."""
-
-
 class ToleranceFailure(PhasefrontError):
     """Computed profile violates its pointwise residual tolerance."""
 

@@ -169,6 +169,13 @@ class MobilityTensor:
                            2.0 * np.pi / MU_LOOKUP_ANGLES)
         return self._dense
 
+    def area_rate(self) -> float:
+        """int_0^{2 pi} w(theta) dtheta over ``weight_lookup``: the constant
+        rate at which V_n = -kappa w(n) shrinks the area of any simple closed
+        curve, since kappa ds = dtheta and the turning number is 1."""
+        w, dtheta = self.weight_lookup()
+        return float(w.sum() * dtheta)
+
     @property
     def asymmetry(self) -> float:
         """Diagnostic: max |mu - mu^T| entry over the table."""

@@ -4,37 +4,63 @@ The profile solves (a_e(U) U_z)_z + f(U) = 0 with U(0) = alpha and limits at
 the stable roots. Via the first integral A_e(U)_z = sqrt(W_e(U)) this reduces
 to the monotone first-order equation
 
-    dU/dz = sqrt(W_e(U)) / a_e(U),
+    dU/dz = sqrt(W_e(U)) / a_e(U),   W_e = t^2 q,   t = (U - a-)(a+ - U).
 
-which is integrated by RK4 in both directions; the endpoint roots of W_e are
-handled by freezing the step once W_e drops below 1e-16.
+The log-odds xi = log((U - a-)/(a+ - U)) maps (a-, a+) onto the whole line,
+with dU/dxi = t/(a+ - a-), so U(xi) is a logistic in closed form and
 
-:func:`solve_standing_wave` is the one-direction path: a scalar Python march
-per half-line. :class:`ProfileTable` marches every direction of its angle grid
-at once, each half-line of each angle one lane of a numpy vector, with the
-same arithmetic per lane and Horner columns from one stacked section whose
-rows equal the one-direction sections, so its rows equal the one-direction
-profiles.
+    z(xi) = int_{xi_mid}^{xi} a_e(U) / ((a+ - a-) sqrt(q(U))) dxi,
+
+xi_mid the log-odds of alpha_mid. The integrand is smooth, bounded and
+positive on the whole line (the section's ``NegativeW`` check keeps q > 0),
+so fixed Gauss-Legendre panels in xi, shared by every direction, give z at
+the panel edges, and within a panel the closed-form integral of the rate's
+interpolant gives z(xi). Each grid node is then found by Newton on that
+integral from a linear start, and U0 is the logistic at its xi.
+
+:func:`solve_standing_wave` (one direction) and :class:`ProfileTable` (an
+angle grid) run the same solver, one direction at a time, so a table row
+equals the one-direction profile along its angle.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import (
     ConfigError,
     InnerSingularity,
+    NotElliptic,
     NotSolvable,
-    StallNearRoot,
     ToleranceFailure,
 )
-from .model import DirectionSection, ModelSpec, check_unit
+from .model import DirectionSection, ModelSpec, _horner, check_unit
 from .quadrature import cumulative_trapezoid_from
 
-W_FREEZE = 1e-16
+_log = logging.getLogger(__name__)
+
+W_FREEZE = 1e-16            # W_e below which solve_linearized drops a cell
+
+PANEL_ORDER = 8             # Gauss-Legendre nodes per panel
+PANEL_WIDTH = 0.1           # panel width in xi
+XI_SPAN = 40.0              # panels cover xi_mid +- XI_SPAN; nodes past them
+                            # take the end value, within ulps of a well
+NEWTON_STEPS = 3
+NEWTON_TOL = 1e-12          # |z(xi) - z| allowed after the last step, times max(1, |z|)
+
+_GL_X, _GL_W = legendre.leggauss(PANEL_ORDER)
+# column i: ascending powers of x of int_{-1}^x L_i, L_i the Lagrange basis
+# polynomial of node i, taken through its Legendre coefficients, which the
+# node rule gives exactly (it integrates degree 2 PANEL_ORDER - 1)
+_PANEL_INT = np.stack([legendre.leg2poly(c) for c in legendre.legint(
+    (np.arange(PANEL_ORDER)[:, None] + 0.5)
+    * legendre.legvander(_GL_X, PANEL_ORDER - 1).T * _GL_W, lbnd=-1.0).T], axis=1)
 
 
 @dataclass
@@ -63,82 +89,111 @@ class WaveProfile:
         return self.section.sqrt_w(self.u0)
 
 
-def _make_slope(section: DirectionSection):
-    qc, ac = section.q_coef[::-1].tolist(), section.a_coef[::-1].tolist()
-    am, ap = section.alpha_minus, section.alpha_plus
-
-    def slope(u: float) -> float:
-        if u <= am or u >= ap:
-            return 0.0
-        t = (u - am) * (ap - u)
-        q = 0.0
-        for c in qc:
-            q = q * u + c
-        if q <= 0.0:
-            return 0.0
-        w = t * t * q
-        if w < W_FREEZE:
-            return 0.0
-        a = 0.0
-        for c in ac:
-            a = a * u + c
-        return t * math.sqrt(q) / a
-
-    return slope
-
-
-def _integrate_half(slope, u_start: float, h: float, n: int, sign: float,
-                    lo: float, hi: float) -> np.ndarray:
-    """RK4 march of u' = sign * slope(u) for n steps; clamps to [lo, hi]."""
-    out = np.empty(n + 1)
-    out[0] = u = u_start
-    hs = sign * h
-    for k in range(1, n + 1):
-        k1 = slope(u)
-        k2 = slope(u + 0.5 * hs * k1)
-        k3 = slope(u + 0.5 * hs * k2)
-        k4 = slope(u + hs * k3)
-        u_new = u + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if sign * (u_new - u) < 0.0:
-            raise StallNearRoot(
-                f"non-monotone step at u={u:.15g} (direction {sign:+.0f})")
-        u = min(max(u_new, lo), hi)
-        out[k] = u
-    return out
-
-
-def _z_grid(z_max: float, h_z: float) -> tuple[int, np.ndarray]:
-    """Half-line step count n and the symmetric grid of 2n+1 nodes."""
+def _z_grid(z_max: float, h_z: float) -> np.ndarray:
+    """The symmetric grid of 2n+1 nodes, n = round(z_max / h_z)."""
     if not 10.0 <= z_max < np.inf:
         raise ConfigError(f"z_max must be finite and at least 10, got {z_max!r}")
     if not 0.0 < h_z <= 1e-2:
         raise ConfigError(f"h_z must be positive and at most 1e-2, got {h_z!r}")
     n = int(round(z_max / h_z))
-    return n, (np.arange(2 * n + 1) - n) * h_z
+    return (np.arange(2 * n + 1) - n) * h_z
+
+
+def _logistic(xi: np.ndarray, am: float, ap: float) -> np.ndarray:
+    """U at log-odds xi, measured from the nearer well so both tails keep
+    their digits."""
+    ex = np.exp(-np.abs(xi))
+    s = (ap - am) * ex / (1.0 + ex)
+    return np.where(xi < 0.0, am + s, ap - s)
+
+
+def _poly(c: np.ndarray, p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and x-derivative at each x[i] of the polynomial whose ascending
+    coefficients are column p[i] of c."""
+    v, d = c[-1][p], 0.0
+    for ck in c[-2::-1]:
+        d = d * x + v
+        v = v * x + ck[p]
+    return v, d
+
+
+def _invert(zp: np.ndarray, half: int, z: np.ndarray):
+    """Panel p, local x in [-1, 1] and residual |z(xi) - z| of each node of z,
+    from the (degree, panels) coefficients zp of z - z(left edge) in x and
+    the middle edge index half, where z = 0."""
+    inc = zp.sum(axis=0)
+    z_edges = np.concatenate([-np.cumsum(inc[:half][::-1])[::-1], [0.0],
+                              np.cumsum(inc[half:])])
+    # past the last edge U is at its well to rounding: clamp
+    z = np.clip(z, z_edges[0], z_edges[-1])
+    p = np.minimum(np.searchsorted(z_edges, z, side="right") - 1, len(inc) - 1)
+    target = z - z_edges[p]
+    x = 2.0 * target / inc[p] - 1.0
+    for _ in range(NEWTON_STEPS):
+        v, d = _poly(zp, p, x)
+        x -= (v - target) / d
+    return p, x, np.abs(_poly(zp, p, x)[0] - target)
+
+
+def _standing_waves(spec: ModelSpec, sec: DirectionSection, z: np.ndarray,
+                    names: list[str]) -> np.ndarray:
+    """U0 on the grid z along each direction of sec, one row per direction;
+    names[j] names direction j in errors.
+
+    Every direction shares the panels in xi; each is solved alone, which
+    keeps the working set at one direction's panels and nodes.
+    """
+    start = time.perf_counter()
+    r = spec.reaction
+    am, ap = r.alpha_minus, r.alpha_plus
+    half = int(round(XI_SPAN / PANEL_WIDTH))
+    xi_edges = (math.log((r.alpha_mid - am) / (ap - r.alpha_mid))
+                + PANEL_WIDTH * np.arange(-half, half + 1))
+    u_nodes = _logistic(xi_edges[:-1, None] + 0.5 * PANEL_WIDTH * (_GL_X + 1.0), am, ap)
+    a_coef = sec.a_coef.reshape(-1, sec.a_coef.shape[-1])
+    q_coef = sec.q_coef.reshape(-1, sec.q_coef.shape[-1])
+    gap = 0.1 * (ap - am)
+    tol = NEWTON_TOL * np.maximum(1.0, np.abs(z))
+    rows = np.empty((len(names), len(z)))
+    worst = 0.0
+    for j, name in enumerate(names):
+        a = _horner(a_coef[j], u_nodes)
+        if (a <= 0.0).any():
+            side = "z > 0" if (a[half:] <= 0.0).any() else "z < 0"
+            raise NotElliptic(f"a_e <= 0 at a panel node on the {side} "
+                              f"half-line of {name}")
+        # z - z(left edge) on each panel as a polynomial in x in [-1, 1]
+        rate = (0.5 * PANEL_WIDTH / (ap - am)) * a / np.sqrt(_horner(q_coef[j], u_nodes))
+        p, x, res = _invert(_PANEL_INT @ rate.T, half, z)
+        miss = ~(res <= tol)
+        if miss.any():
+            k = int(np.flatnonzero(miss)[0])
+            raise ToleranceFailure(
+                f"Newton inversion of z(xi) missed z={z[k]:+.6g} by {res[k]:.3e} "
+                f"on {name}")
+        worst = max(worst, float(res.max()))
+        rows[j] = row = _logistic(xi_edges[p] + 0.5 * PANEL_WIDTH * (x + 1.0), am, ap)
+        if ap - row[-1] > gap or row[0] - am > gap:
+            k = -1 if ap - row[-1] > gap else 0
+            raise ToleranceFailure(
+                f"profile did not approach the wells by z={z[k]:+g} on the "
+                f"{'z > 0' if k else 'z < 0'} half-line of {name} "
+                f"(endpoint {row[k]:.4f})")
+    _log.debug("standing waves: %d directions, %d z nodes, %d panels, "
+               "max Newton residual = %.3g, wall = %.3f s", len(names), len(z),
+               2 * half, worst, time.perf_counter() - start)
+    return rows
 
 
 def solve_standing_wave(spec: ModelSpec, e, z_max: float = 12.0,
                         h_z: float = 1e-3) -> WaveProfile:
     """Standing-wave profile U0(z; e) on the symmetric grid [-z_max, z_max]."""
-    n, z = _z_grid(z_max, h_z)
+    z = _z_grid(z_max, h_z)
     e = check_unit(e)
     sec = DirectionSection(spec, e)
-    r = spec.reaction
-    slope = _make_slope(sec)
-
-    up = _integrate_half(slope, r.alpha_mid, h_z, n, +1.0,
-                         r.alpha_minus, r.alpha_plus)
-    dn = _integrate_half(slope, r.alpha_mid, h_z, n, -1.0,
-                         r.alpha_minus, r.alpha_plus)
-    u0 = np.concatenate([dn[::-1], up[1:]])
-    gap = 0.1 * (r.alpha_plus - r.alpha_minus)
-    if (r.alpha_plus - u0[-1]) > gap or (u0[0] - r.alpha_minus) > gap:
-        raise ToleranceFailure(
-            f"profile did not approach the wells by z_max={z_max} "
-            f"(endpoints {u0[0]:.4f}, {u0[-1]:.4f})")
+    [u0] = _standing_waves(spec, sec, z, [f"direction {e}"])
     u0z = sec.sqrt_w(u0) / sec.a(u0)
-
-    lam, r2 = _fit_decay(z, u0, r.alpha_plus)
+    lam, r2 = _fit_decay(z, u0, spec.reaction.alpha_plus)
     return WaveProfile(e=e, z=z, u0=u0, u0z=u0z, decay_rate=lam, decay_r2=r2,
                        section=sec, spec=spec)
 
@@ -245,77 +300,6 @@ def linearized_residual(profile: WaveProfile, psi: np.ndarray, g) -> np.ndarray:
 # angular table for composed initial data
 # ---------------------------------------------------------------------------
 
-def _march_directions(spec: ModelSpec, thetas: np.ndarray, h_z: float,
-                      n: int) -> np.ndarray:
-    """Profiles along (cos theta, sin theta) for every theta; (m, 2n+1).
-
-    One RK4 march moves 2m lanes in lockstep: lane j < m runs the z > 0
-    half-line of thetas[j], lane m + j its z < 0 half-line. Each lane carries
-    its own step sign * h_z and Horner columns, and the arithmetic per lane
-    is that of ``_make_slope`` and ``_integrate_half``, so row j equals
-    ``solve_standing_wave`` along thetas[j].
-    """
-    r = spec.reaction
-    am, ap = r.alpha_minus, r.alpha_plus
-    m = len(thetas)
-    lanes = 2 * m
-    sec = DirectionSection(spec, np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
-    qc = np.tile(sec.q_coef.T[::-1], 2)      # (degree+1, lanes), high first
-    ac = np.tile(sec.a_coef.T[::-1], 2)
-    sign = np.repeat([1.0, -1.0], m)
-    hs = sign * h_z
-    half = 0.5 * hs
-    sixth = hs / 6.0
-
-    def lane_name(j):
-        side = "z > 0" if sign[j] > 0.0 else "z < 0"
-        return f"the {side} half-line of theta={thetas[j % m]:.15g}"
-
-    def slope(u):
-        t = (u - am) * (ap - u)
-        q = np.zeros(lanes)
-        for c in qc:
-            q = q * u + c
-        a = np.zeros(lanes)
-        for c in ac:
-            a = a * u + c
-        # the scalar freeze rules: t > 0 holds exactly for u inside the
-        # wells, and W = t*t*q >= W_FREEZE > 0 needs q > 0
-        live = (t > 0.0) & (t * t * q >= W_FREEZE)
-        num = t * np.sqrt(q, out=np.zeros(lanes), where=live)
-        return np.divide(num, a, out=np.zeros(lanes), where=live)
-
-    # each lane writes straight into its row, so no second copy of the
-    # table is held
-    u0 = np.empty((m, 2 * n + 1))
-    u0[:, n] = r.alpha_mid
-    u = np.full(lanes, r.alpha_mid)
-    for k in range(1, n + 1):
-        k1 = slope(u)
-        k2 = slope(u + half * k1)
-        k3 = slope(u + half * k2)
-        k4 = slope(u + hs * k3)
-        u_new = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        stalled = sign * (u_new - u) < 0.0
-        if stalled.any():
-            j = int(np.flatnonzero(stalled)[0])
-            raise StallNearRoot(
-                f"non-monotone step {k} from u={u[j]:.15g} at "
-                f"z={(k - 1) * hs[j]:+.6g} on {lane_name(j)}")
-        u = np.minimum(np.maximum(u_new, am), ap)
-        u0[:, n + k] = u[:m]
-        u0[:, n - k] = u[m:]
-
-    gap = 0.1 * (ap - am)
-    short = np.where(sign > 0.0, ap - u, u - am) > gap
-    if short.any():
-        j = int(np.flatnonzero(short)[0])
-        raise ToleranceFailure(
-            f"profile did not approach the wells by z={n * hs[j]:+g} "
-            f"on {lane_name(j)} (endpoint {u[j]:.4f})")
-    return u0
-
-
 @dataclass
 class ProfileTable:
     """Profiles tabulated over equispaced directions, for fast composition."""
@@ -328,9 +312,11 @@ class ProfileTable:
     def build(cls, spec: ModelSpec, m_angles: int = 64, z_max: float = 12.0,
               h_z: float = 2e-3) -> "ProfileTable":
         """Rows U0(z; (cos theta, sin theta)) on m_angles equispaced angles."""
-        n, z = _z_grid(z_max, h_z)
+        z = _z_grid(z_max, h_z)
         thetas = 2.0 * np.pi * np.arange(m_angles) / m_angles
-        return cls(thetas, z, _march_directions(spec, thetas, h_z, n))
+        sec = DirectionSection(spec, np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
+        return cls(thetas, z, _standing_waves(spec, sec, z,
+                                              [f"theta={th:.15g}" for th in thetas]))
 
     def evaluate(self, theta, z):
         """Bilinear lookup u0(theta, z), clamping z beyond the table range."""

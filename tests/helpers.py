@@ -1,5 +1,6 @@
 """Shared oracle helpers for the test suite."""
 
+import math
 from dataclasses import replace
 from typing import Sequence
 
@@ -12,11 +13,13 @@ from phasefront.curves import FrontCurve, curve_from_points
 from phasefront.errors import EquipotentialViolated, NegativeW, NotUnit, QuadratureFailure
 from phasefront.model import (
     _DEFLATE_TOL,
+    DirectionSection,
     ModelSpec,
     check_unit,
     cubic_reaction,
     polynomial_diffusivity,
 )
+from phasefront.profile import W_FREEZE
 
 
 def random_spd_polynomial_model(rng, epsilon: float = 0.02) -> ModelSpec:
@@ -263,3 +266,68 @@ class PolynomialSection:
         s = np.asarray(s, dtype=float)
         qv = self.q_poly(s)
         return np.stack([g(s) / qv for g in self.tan_grad_q_polys])
+
+
+# ---------------------------------------------------------------------------
+# reference standing wave: scalar RK4 march of dU/dz = sqrt(W_e(U)) / a_e(U)
+# ---------------------------------------------------------------------------
+
+def _make_slope(section: DirectionSection):
+    qc, ac = section.q_coef[::-1].tolist(), section.a_coef[::-1].tolist()
+    am, ap = section.alpha_minus, section.alpha_plus
+
+    def slope(u: float) -> float:
+        if u <= am or u >= ap:
+            return 0.0
+        t = (u - am) * (ap - u)
+        q = 0.0
+        for c in qc:
+            q = q * u + c
+        if q <= 0.0:
+            return 0.0
+        w = t * t * q
+        if w < W_FREEZE:
+            return 0.0
+        a = 0.0
+        for c in ac:
+            a = a * u + c
+        return t * math.sqrt(q) / a
+
+    return slope
+
+
+def _integrate_half(slope, u_start: float, h: float, n: int, sign: float,
+                    lo: float, hi: float) -> np.ndarray:
+    """RK4 march of u' = sign * slope(u) for n steps; clamps to [lo, hi]."""
+    out = np.empty(n + 1)
+    out[0] = u = u_start
+    hs = sign * h
+    for k in range(1, n + 1):
+        k1 = slope(u)
+        k2 = slope(u + 0.5 * hs * k1)
+        k3 = slope(u + 0.5 * hs * k2)
+        k4 = slope(u + hs * k3)
+        u_new = u + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if sign * (u_new - u) < 0.0:
+            raise AssertionError(
+                f"non-monotone step at u={u:.15g} (direction {sign:+.0f})")
+        u = min(max(u_new, lo), hi)
+        out[k] = u
+    return out
+
+
+def rk4_standing_wave(spec: ModelSpec, e, z_max: float = 12.0,
+                      h_z: float = 2e-3) -> np.ndarray:
+    """U0 on the symmetric grid of 2n+1 nodes by RK4 from U0(0) = alpha_mid.
+
+    The march freezes its step where W_e = t^2 q drops below ``W_FREEZE``,
+    so past that node the row stays put short of the well.
+    """
+    r = spec.reaction
+    n = int(round(z_max / h_z))
+    slope = _make_slope(DirectionSection(spec, e))
+    up = _integrate_half(slope, r.alpha_mid, h_z, n, +1.0,
+                         r.alpha_minus, r.alpha_plus)
+    dn = _integrate_half(slope, r.alpha_mid, h_z, n, -1.0,
+                         r.alpha_minus, r.alpha_plus)
+    return np.concatenate([dn[::-1], up[1:]])

@@ -34,6 +34,8 @@ from phasefront.model import (
     cubic_identity_model,
     cubic_reaction,
     diagonal_diffusivity,
+    polynomial_diffusivity,
+    rotated_diagonal_diffusivity,
 )
 
 
@@ -111,15 +113,45 @@ def test_front_isotropic_nonlinear_radius_law():
     assert worst <= 1e-3
 
 
-def test_front_area_decay_rate(identity_mobility):
-    # dA/dt = -2 pi for mu = I, down to half the initial area
-    cur = circle_curve((0.5, 0.5), 0.2, 256, h_target=2 * np.pi * 0.2 / 256)
+def _rot(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def _propagation_spec():
+    """The benchmark's propagation model at seed 1: D(s) = A + B s^2."""
+    phi = 1.6079350561067187
+    a = _rot(phi) @ np.diag([1.0, 1.6]) @ _rot(phi).T
+    b = _rot(phi + 0.6) @ np.diag([0.08, -0.04]) @ _rot(phi + 0.6).T
+    entries = [[[a[i, j], 0.0, b[i, j]] for j in range(2)] for i in range(2)]
+    return ModelSpec(cubic_reaction(), polynomial_diffusivity(entries), 0.02)
+
+
+_CIRCLE = circle_curve((0.5, 0.5), 0.2, 256, h_target=2 * np.pi * 0.2 / 256)
+
+
+@pytest.mark.parametrize("spec, curve", [
+    (cubic_identity_model(), _CIRCLE),
+    (ModelSpec(cubic_reaction(), diagonal_diffusivity([1.0, 2.0]), 0.02), _CIRCLE),
+    (ModelSpec(cubic_reaction(), rotated_diagonal_diffusivity(0.7, [1.0, 1.8]), 0.02),
+     _CIRCLE),
+    (_propagation_spec(),
+     ellipse_curve((0.5450463696325936, 0.4644159612719634), 0.25, 0.17, 256)),
+], ids=["identity", "diag", "rotated-constant", "propagation-ellipse"])
+def test_front_area_decay_rate(spec, curve):
+    # dA/dt = -int w dtheta for any simple closed curve (2 pi for mu = I),
+    # down to half the initial area
+    mob = tabulate_mobility(spec, 256)
+    rate = mob.area_rate()
+    cur = curve
     a0 = enclosed_area(cur)
-    t = 0.0
-    while enclosed_area(cur) > 0.5 * a0:
-        cur = step_front(cur, identity_mobility, 1e-5)
-        t += 1e-5
-        assert abs(enclosed_area(cur) - a0 + 2 * np.pi * t) <= 1e-3
+    areas = [a0]
+    while areas[-1] > 0.5 * a0:
+        cur = step_front(cur, mob, 1e-5)
+        areas.append(enclosed_area(cur))
+        assert abs(areas[-1] - a0 + rate * 1e-5 * (len(areas) - 1)) <= 1e-3
+    # the mean rate over [2e-3, 4e-3]
+    assert (areas[200] - areas[400]) / 2e-3 == pytest.approx(rate, rel=1e-3)
 
 
 def test_front_equivariance_translation_and_rotation(identity_mobility):

@@ -122,6 +122,8 @@ def test_tabulate_isotropic_constant():
     lam, mu = tab.lam_mu((0.3, np.sqrt(1 - 0.09)))
     assert lam == pytest.approx(2.0 * SQ2 / 3.0, abs=1e-10)
     assert np.abs(mu - np.eye(2)).max() <= 1e-10
+    # w = 1 in every direction: the area law's rate is 2 pi
+    assert tab.area_rate() == pytest.approx(2.0 * np.pi, rel=1e-10)
 
 
 def test_tabulate_midpoint_interpolation_error():

@@ -1,9 +1,14 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from phasefront import errors
+from helpers import rk4_standing_wave
+
+from phasefront import errors, profile
 from phasefront.model import (
     DirectionSection,
     ModelSpec,
@@ -267,17 +272,28 @@ def test_profile_table_isotropic_and_anisotropic(diag_model):
 ], ids=["diag", "rotated-constant", "polynomial-cross"])
 def test_table_rows_match_scalar_march(diffusivity):
     spec = ModelSpec(cubic_reaction(), diffusivity, 0.02)
+    am, ap = spec.reaction.alpha_minus, spec.reaction.alpha_plus
     tab = ProfileTable.build(spec, m_angles=16)
     for th, row in zip(tab.thetas, tab.u0):
-        prof = solve_standing_wave(spec, (np.cos(th), np.sin(th)), h_z=2e-3)
+        e = (np.cos(th), np.sin(th))
+        prof = solve_standing_wave(spec, e, h_z=2e-3)
         assert row.tobytes() == prof.u0.tobytes()
+        # the RK4 reference freezes its step once t^2 q < W_FREEZE; past
+        # that node the row must lie between the reference and the well
+        ref = rk4_standing_wave(spec, e, h_z=2e-3)
+        t = (ref - am) * (ap - ref)
+        live = t * t * np.polynomial.polynomial.polyval(ref, prof.section.q_coef) >= profile.W_FREEZE
+        assert np.abs(row - ref)[live].max() <= 1e-12
+        well = np.where(tab.z > 0.0, ap, am)[~live]
+        assert np.all((row[~live] - ref[~live]) * (well - ref[~live]) >= 0.0)
+        assert np.all((well - row[~live]) * (well - ref[~live]) >= 0.0)
     assert tab.z.tobytes() == prof.z.tobytes()
 
 
 @pytest.mark.parametrize("patched_ac, exc", [
-    # a_e(u) = 1 - 2u turns negative above u = 1/2, so only the z > 0
-    # half-line of the patched direction stops being monotone
-    ((1.0, -2.0), errors.StallNearRoot),
+    # a_e(u) = 1 - 2u turns negative above u = 1/2, so only panel nodes on
+    # the z > 0 half-line of the patched direction see it
+    ((1.0, -2.0), errors.NotElliptic),
     # a_e = 1e4 slows both half-lines; the z > 0 lane is named first
     ((1e4, 0.0), errors.ToleranceFailure),
 ], ids=["stall", "short"])
@@ -300,3 +316,29 @@ def test_table_failure_names_its_lane(monkeypatch, patched_ac, exc):
     with pytest.raises(exc) as info:
         ProfileTable.build(spec, m_angles=8)
     assert f"z > 0 half-line of theta={thetas[3]:.15g}" in str(info.value)
+
+
+def test_unconverged_inversion_names_direction_and_z(monkeypatch):
+    # a nonconstant rate makes the linear start miss; without Newton steps
+    # the residual check must fire
+    spec = ModelSpec(cubic_reaction(), polynomial_diffusivity(
+        [[[1.2, 0.0, 0.1], [0.2, 0.0, 0.05]],
+         [[0.2, 0.0, 0.05], [0.9, 0.0, -0.05]]]), 0.02)
+    monkeypatch.setattr(profile, "NEWTON_STEPS", 0)
+    with pytest.raises(errors.ToleranceFailure,
+                       match=r"missed z=\S+ by \S+ on direction \["):
+        solve_standing_wave(spec, E1)
+    with pytest.raises(errors.ToleranceFailure, match=r"missed z=\S+ by \S+ on theta=0"):
+        ProfileTable.build(spec, m_angles=4)
+
+
+def test_solvers_log_one_record_per_call(caplog):
+    spec = cubic_identity_model()
+    pattern = (r"standing waves: {} directions, {} z nodes, 800 panels, "
+               r"max Newton residual = \S+, wall = \S+ s")
+    with caplog.at_level(logging.DEBUG, logger="phasefront.profile"):
+        ProfileTable.build(spec, m_angles=4)
+        solve_standing_wave(spec, E1, z_max=10.0)
+    table, wave = caplog.records
+    assert re.fullmatch(pattern.format(4, 12001), table.getMessage())
+    assert re.fullmatch(pattern.format(1, 20001), wave.getMessage())
