@@ -11,36 +11,44 @@ One scheme path serves every diffusivity: a constant entry is a degree-0
 polynomial, whose face value is a scalar factor. ``simulate`` and
 ``ordering_check`` march a per-run stepper that computes the stability bound
 and the Horner coefficients once and works on preallocated buffers; ``step``
-is the CFL-checked single-step wrapper around the same stepper. The stepper
-splits the grid into row blocks, one per usable CPU but none under
-ROWS_PER_BLOCK rows, and steps them on threads with one kernel; numpy
-releases the interpreter lock inside the slice operations, and every cell
-sees the same arithmetic however the rows are split.
+is the CFL-checked single-step wrapper around the same stepper, run as one
+block. The stepper splits the grid into row blocks, one per usable CPU but
+none under ROWS_PER_BLOCK rows, and steps them with one kernel: the caller
+runs the first block and a forked worker process each other one, on field
+buffers in shared memory. Threads would not do: the kernel's numpy
+operations on a block hold the interpreter lock for much of their time, so
+two threads stepped a 256^2 grid no faster than one. Every cell sees the
+same arithmetic however the rows are split.
 """
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
+import gc
 import json
 import logging
 import math
+import mmap
 import os
-import threading
+import pickle
+import signal
+import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .curves import FrontCurve, marching_squares
-from .errors import Blowup, CFLViolated, ConfigError, NoContour
+from .errors import Blowup, CFLViolated, ConfigError, NoContour, WorkerLost
 from .model import ModelSpec
 
 CFL_REACTION_SAFETY = 0.2
 # A grid is split into row blocks of at least this many rows, one per usable
-# CPU. Smaller blocks lose more to the thread handoff than they gain: on a
-# 2-core machine a 128^2 step split in two took 0.26 ms against 0.18 ms whole.
+# CPU. Smaller blocks lose more to the handoff than they gain: on a 2-core
+# machine a 128^2 step split across two processes took 0.185 ms against
+# 0.155 ms whole, the difference being the pipe round trip.
 ROWS_PER_BLOCK = 128
 
 _log = logging.getLogger(__name__)
@@ -152,28 +160,77 @@ def _block_count(n: int) -> int:
     return max(1, min(_usable_cpus(), n // ROWS_PER_BLOCK))
 
 
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
+# One command to a worker: the parity of the buffer that holds the field, dt
+# and the caller's numpy error modes for divide, over, under and invalid. One
+# reply: the block's min and max and the byte length of the pickled (error,
+# warnings) that follows when the block raised or warned.
+_COMMAND = struct.Struct("<Bd4B")
+_REPLY = struct.Struct("<ddI")
+_ERR_KINDS = ("divide", "over", "under", "invalid")
+_ERR_MODES = ("ignore", "warn", "raise", "call", "print", "log")
+# 'call' and 'log' name a callback of the caller, so a worker warns instead
+# and the caller re-issues the warning
+_WORKER_MODES = ("ignore", "warn", "raise", "warn", "print", "warn")
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The executor that runs every row block past the caller's own, created
-    on first use and shared by every stepper of the process."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
-                                       thread_name_prefix="phasefront-rows")
-        return _POOL
+def _read_exact(fd: int, size: int) -> bytes:
+    """size bytes from fd, or fewer if the writing end closed first."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
 
 
-def _forget_pool() -> None:
-    """A forked child has none of its parent's pool threads: start afresh."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+class _RowWorker:
+    """A forked process that runs serve(command fd, reply fd) and exits.
+
+    The child keeps its two pipe ends and the standard streams and closes
+    every other descriptor, so no worker holds another's pipes: each sees
+    end-of-file on its commands once its caller's end closes. It ignores
+    SIGINT, since the caller ends it, and prints no traceback of its own.
+    """
+
+    def __init__(self, serve):
+        cmd_r, self.cmd = os.pipe()
+        self.reply, reply_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (cmd_r, self.cmd, self.reply, reply_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                gc.freeze()     # the caller's objects are never finalized here
+                lo, hi = sorted((cmd_r, reply_w))
+                os.closerange(3, lo)
+                os.closerange(lo + 1, hi)
+                os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
+                serve(cmd_r, reply_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(cmd_r)
+        os.close(reply_w)
+
+    def close(self) -> None:
+        """Kill and reap the worker: between steps it holds nothing to flush."""
+        os.close(self.cmd)
+        os.close(self.reply)
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
 
 
 class _Stepper:
@@ -183,17 +240,19 @@ class _Stepper:
     The stability bound and the Horner coefficients are computed once. The
     field lives in an (n+2) x n buffer whose first and last rows are ghost
     copies of rows n-1 and 0, so every row block reads its one-row halo as a
-    plain slice. One kernel steps a block of rows into the second buffer;
-    the caller runs the first block and the shared pool the others, joined
-    once per step, after which the ghost rows are refreshed and the two
-    buffers swap. A block no worker has started by the time the caller is
-    done is taken back and stepped by the caller. Each block owns three work
-    arrays of its rows plus the halo. A grid under 2 * ROWS_PER_BLOCK rows
-    is one block on the caller.
+    plain slice. One kernel steps a block of rows into the second buffer.
+    The caller steps the first block. Each other block has a worker process,
+    forked when the stepper is built, that shares the two field buffers
+    through one anonymous shared mapping and keeps its own work arrays. Per
+    step the caller sends every worker one command and waits for one reply,
+    after which it refreshes the ghost rows and swaps the buffers. A grid
+    under 2 * ROWS_PER_BLOCK rows, a stepper built with split=False and a
+    system without os.fork run as one block on the caller. Closing the
+    stepper, or leaving its ``with`` block, ends its workers.
     """
 
     def __init__(self, fld: ScalarField, spec: ModelSpec, *,
-                 reaction: bool = True):
+                 reaction: bool = True, split: bool = True):
         grid = fld.grid
         self.grid = grid
         self.eps = spec.epsilon
@@ -206,20 +265,47 @@ class _Stepper:
         self.f = _descending(spec.reaction.poly) if reaction else None
         self.inv_h2 = 1.0 / (grid.h * grid.h)
         n = grid.n
-        self.buf, self.spare = np.empty((n + 2, n)), np.empty((n + 2, n))
-        self.buf[1:-1] = fld.values
-        self._refresh_ghosts(self.buf)
-        k = _block_count(n)
+        k = _block_count(n) if split and hasattr(os, "fork") else 1
         edges = [n * i // k for i in range(k + 1)]
-        self.blocks = [(r0, r1, *(np.empty((r1 - r0 + 2, n)) for _ in range(3)))
-                       for r0, r1 in zip(edges[:-1], edges[1:])]
+        self.rows = list(zip(edges[:-1], edges[1:]))
+        shape = (2, n + 2, n)
+        if k > 1:   # anonymous and MAP_SHARED: the workers see every write
+            self._pair = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
+                                       dtype=float).reshape(shape)
+        else:
+            self._pair = np.empty(shape)
+        self._parity = 0            # the field is in self._pair[self._parity]
+        self._pair[0, 1:-1] = fld.values
+        self._refresh_ghosts(self._pair[0])
+        self._block = self._work_block(self.rows[0])
         self.t = fld.t
         self.step_index = 0
+        self.reply_wait = 0.0
+        self.workers = []
+        try:
+            for rows in self.rows[1:]:
+                self.workers.append(_RowWorker(
+                    lambda cmd, reply, rows=rows: self._serve(rows, cmd, reply)))
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "_Stepper":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """End the workers. The field buffers stay mapped for as long as an
+        array views them."""
+        while self.workers:
+            self.workers.pop().close()
 
     @property
     def u(self) -> np.ndarray:
         """The field: a view of the buffer without its ghost rows."""
-        return self.buf[1:-1]
+        return self._pair[self._parity, 1:-1]
 
     @staticmethod
     def _refresh_ghosts(buf: np.ndarray) -> None:
@@ -232,6 +318,12 @@ class _Stepper:
 
     def field(self) -> ScalarField:
         return ScalarField(self.grid, self.u.copy(), self.t)
+
+    def _work_block(self, rows) -> tuple:
+        """The kernel's block: rows r0..r1-1 and three work arrays of those
+        rows plus the halo."""
+        r0, r1 = rows
+        return (r0, r1, *(np.empty((r1 - r0 + 2, self.grid.n)) for _ in range(3)))
 
     def _kernel(self, block, buf: np.ndarray, new: np.ndarray, dt: float):
         """Step rows r0..r1-1 of the field in buf into the same rows of new
@@ -286,6 +378,59 @@ class _Stepper:
         np.add(mid, rhs, out=rhs)
         return rhs.min(), rhs.max()
 
+    def _serve(self, rows, cmd: int, reply: int) -> None:
+        """A worker's loop: step its block on every command until the
+        caller's end of the command pipe closes."""
+        block = self._work_block(rows)
+        while command := _read_exact(cmd, _COMMAND.size):
+            parity, dt, *modes = _COMMAND.unpack(command)
+            lo = hi = math.nan
+            error = None
+            with warnings.catch_warnings(record=True) as caught, np.errstate(
+                    **{kind: _WORKER_MODES[m] for kind, m in zip(_ERR_KINDS, modes)}):
+                warnings.simplefilter("always")
+                try:
+                    lo, hi = self._kernel(block, self._pair[parity],
+                                          self._pair[1 - parity], dt)
+                except Exception as exc:    # raised again by the caller
+                    error = exc
+            extra = b""
+            if error is not None or caught:
+                extra = pickle.dumps((error, [(str(w.message), w.category,
+                                               w.filename, w.lineno)
+                                              for w in caught]))
+            _write_all(reply, _REPLY.pack(lo, hi, len(extra)) + extra)
+
+    def _lost(self, worker: _RowWorker) -> WorkerLost:
+        return WorkerLost(f"row-block worker {worker.pid} exited at {self._where()}")
+
+    def _gather(self) -> list:
+        """Every worker's (min, max) for this step. Their warnings are issued
+        again here and the first block error is raised, once all replied."""
+        start = time.perf_counter()
+        replies = []
+        for worker in self.workers:
+            head = _read_exact(worker.reply, _REPLY.size)
+            if len(head) < _REPLY.size:
+                raise self._lost(worker)
+            lo, hi, size = _REPLY.unpack(head)
+            extra = _read_exact(worker.reply, size)
+            if len(extra) < size:
+                raise self._lost(worker)
+            replies.append((lo, hi, extra))
+        self.reply_wait += time.perf_counter() - start
+        for _, _, extra in replies:
+            if extra:
+                error, caught = pickle.loads(extra)
+                for message, category, filename, lineno in caught:
+                    # the module and registry numpy's own warning would use
+                    warnings.warn_explicit(
+                        message, category, filename, lineno, module=__name__,
+                        registry=globals().setdefault("__warningregistry__", {}))
+                if error is not None:
+                    raise error
+        return [(lo, hi) for lo, hi, _ in replies]
+
     def advance(self, dt: float) -> None:
         """One forward-Euler step of length dt."""
         self.step_index += 1
@@ -293,33 +438,38 @@ class _Stepper:
             raise CFLViolated(
                 f"dt = {dt:g} exceeds the stability bound {self.dt_max:g} "
                 f"at {self._where()}")
-        buf, new = self.buf, self.spare
-        first, *rest = self.blocks
-        # workers run in a copy of the caller's context, so np.errstate holds
-        futures = [_pool().submit(contextvars.copy_context().run,
-                                  self._kernel, block, buf, new, dt)
-                   for block in rest]
+        buf, new = self._pair[self._parity], self._pair[1 - self._parity]
+        if self.workers:
+            modes = np.geterr()
+            command = _COMMAND.pack(self._parity, dt,
+                                    *(_ERR_MODES.index(modes[k]) for k in _ERR_KINDS))
+            for worker in self.workers:
+                try:
+                    os.write(worker.cmd, command)   # atomic: under PIPE_BUF
+                except OSError as exc:
+                    raise self._lost(worker) from exc
         try:
-            ranges = [self._kernel(first, buf, new, dt)]
-            # a block no worker has started yet is stepped here instead
-            ranges += [self._kernel(block, buf, new, dt) if f.cancel()
-                       else f.result() for block, f in zip(rest, futures)]
+            ranges = [self._kernel(self._block, buf, new, dt)]
         except BaseException:
-            for f in futures:   # no block may still write once this returns
-                if not f.cancel():
-                    f.exception()
+            # no block may still write once this returns; the caller's own
+            # error is the one raised
+            with contextlib.suppress(Exception):
+                self._gather()
             raise
+        ranges += self._gather()
         self.t += dt
         if not all(math.isfinite(x) for r in ranges for x in r):
             raise Blowup(f"non-finite value at {self._where()}")
         self._refresh_ghosts(new)
-        self.buf, self.spare = new, buf
+        self._parity ^= 1
 
 
 def step(fld: ScalarField, spec: ModelSpec, dt: float, *,
          reaction: bool = True) -> ScalarField:
-    """One forward-Euler step; raises CFLViolated/Blowup on contract breaks."""
-    stepper = _Stepper(fld, spec, reaction=reaction)
+    """One forward-Euler step; raises CFLViolated/Blowup on contract breaks.
+
+    The step runs as one block: forking workers would cost more than it."""
+    stepper = _Stepper(fld, spec, reaction=reaction, split=False)
     stepper.advance(dt)
     return ScalarField(fld.grid, stepper.u, stepper.t)
 
@@ -339,16 +489,18 @@ def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
         raise ConfigError("snapshot times must lie in [0, t_end]")
 
     start = time.perf_counter()
-    stepper = _Stepper(u0, spec, reaction=reaction)
     out = []
-    for target in targets:
-        while stepper.t < target - 1e-14:
-            stepper.advance(min(stepper.dt_max, target - stepper.t))
-        stepper.t = target
-        out.append(stepper.field())
-    _log.debug("simulate: grid n = %d, row blocks = %d, steps = %d, "
-               "dt_max = %g, wall = %.3f s", u0.grid.n, len(stepper.blocks),
-               stepper.step_index, stepper.dt_max, time.perf_counter() - start)
+    with _Stepper(u0, spec, reaction=reaction) as stepper:
+        for target in targets:
+            while stepper.t < target - 1e-14:
+                stepper.advance(min(stepper.dt_max, target - stepper.t))
+            stepper.t = target
+            out.append(stepper.field())
+    _log.debug("simulate: grid n = %d, row blocks = %d, workers = %d, "
+               "steps = %d, dt_max = %g, reply wait = %.3f s, wall = %.3f s",
+               u0.grid.n, len(stepper.rows), len(stepper.rows) - 1,
+               stepper.step_index, stepper.dt_max, stepper.reply_wait,
+               time.perf_counter() - start)
     return out
 
 
@@ -372,15 +524,14 @@ def ordering_check(u_low: ScalarField, u_high: ScalarField, spec: ModelSpec,
     violation = float(np.max(u_low.values - u_high.values))
     if violation > 0.0:
         raise ConfigError("u_low must not exceed u_high initially")
-    lo = _Stepper(u_low, spec)
-    hi = _Stepper(u_high, spec)
-    t = 0.0
-    while t < t_end - 1e-14:
-        dt = min(lo.dt_max, t_end - t)
-        lo.advance(dt)
-        hi.advance(dt)
-        t += dt
-        violation = max(violation, float(np.max(lo.u - hi.u)))
+    with _Stepper(u_low, spec) as lo, _Stepper(u_high, spec) as hi:
+        t = 0.0
+        while t < t_end - 1e-14:
+            dt = min(lo.dt_max, t_end - t)
+            lo.advance(dt)
+            hi.advance(dt)
+            t += dt
+            violation = max(violation, float(np.max(lo.u - hi.u)))
     return violation <= tol, violation
 
 

@@ -76,6 +76,10 @@ class NoContour(PhasefrontError):
     """The requested level is not crossed by the field."""
 
 
+class WorkerLost(PhasefrontError):
+    """A row-block worker process of the stepper exited during a run."""
+
+
 # -- front tracking / level set ----------------------------------------------
 
 class DegenerateCurve(PhasefrontError):

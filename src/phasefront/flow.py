@@ -281,8 +281,7 @@ def reinitialize(sdf: SignedDistanceField) -> SignedDistanceField:
 
 def level_set_dt(mobility: MobilityTensor, grid: Grid) -> float:
     """The explicit step's stability bound h^2 / (8 max w)."""
-    weights, _ = mobility.weight_lookup()
-    return grid.h**2 / (8.0 * max(float(weights.max()), 1e-12))
+    return grid.h**2 / (8.0 * max(mobility.max_weight, 1e-12))
 
 
 def step_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,

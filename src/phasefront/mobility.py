@@ -29,6 +29,7 @@ through them; ``weight_lookup`` tabulates w densely for the level-set step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -168,6 +169,11 @@ class MobilityTensor:
             self._dense = (self.tangential_weight(normals),
                            2.0 * np.pi / MU_LOOKUP_ANGLES)
         return self._dense
+
+    @cached_property
+    def max_weight(self) -> float:
+        """The largest entry of the ``weight_lookup`` table."""
+        return float(self.weight_lookup()[0].max())
 
     def area_rate(self) -> float:
         """int_0^{2 pi} w(theta) dtheta over ``weight_lookup``: the constant

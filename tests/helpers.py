@@ -1,7 +1,9 @@
 """Shared oracle helpers for the test suite."""
 
+import glob
 import math
 from dataclasses import replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -9,7 +11,7 @@ from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
 from phasefront.acsolver import Grid, ScalarField
-from phasefront.curves import FrontCurve, curve_from_points
+from phasefront.curves import FrontCurve, curve_from_points, ellipse_curve
 from phasefront.errors import EquipotentialViolated, NegativeW, NotUnit, QuadratureFailure
 from phasefront.model import (
     _DEFLATE_TOL,
@@ -20,6 +22,47 @@ from phasefront.model import (
     polynomial_diffusivity,
 )
 from phasefront.profile import W_FREEZE
+
+
+def process_alive(pid: int) -> bool:
+    """Whether the process exists and is not a zombie, from /proc."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def live_children(pid="self") -> list[int]:
+    """Pids of the live children of a process (of this one by default),
+    read from /proc/<pid>/task/*/children; empty where /proc has none."""
+    found = []
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            found += [int(c) for c in Path(path).read_text().split()]
+        except OSError:
+            continue
+    return sorted(c for c in found if process_alive(c))
+
+
+def _rot(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def propagation_spec(epsilon: float = 0.02) -> ModelSpec:
+    """The benchmark's propagation model at seed 1: D(s) = A + B s^2."""
+    phi = 1.6079350561067187
+    a = _rot(phi) @ np.diag([1.0, 1.6]) @ _rot(phi).T
+    b = _rot(phi + 0.6) @ np.diag([0.08, -0.04]) @ _rot(phi + 0.6).T
+    entries = [[[a[i, j], 0.0, b[i, j]] for j in range(2)] for i in range(2)]
+    return ModelSpec(cubic_reaction(), polynomial_diffusivity(entries), epsilon)
+
+
+def propagation_ellipse(markers: int = 256) -> FrontCurve:
+    """The benchmark's propagation ellipse at seed 1."""
+    return ellipse_curve((0.5450463696325936, 0.4644159612719634), 0.25, 0.17,
+                         markers)
 
 
 def random_spd_polynomial_model(rng, epsilon: float = 0.02) -> ModelSpec:

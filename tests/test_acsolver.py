@@ -1,14 +1,25 @@
+import contextlib
 import logging
 import multiprocessing
+import os
 import re
-import threading
+import signal
+import subprocess
+import sys
+import time
 import warnings
-from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import softstep_circle_field
+from helpers import (
+    live_children,
+    process_alive,
+    propagation_ellipse,
+    propagation_spec,
+    softstep_circle_field,
+)
 
 from phasefront import acsolver, errors
 from phasefront.acsolver import (
@@ -23,6 +34,9 @@ from phasefront.acsolver import (
     step,
     trig_product_field,
 )
+from phasefront.curves import enclosed_area
+from phasefront.harness import tanh_ansatz_field
+from phasefront.mobility import tabulate_mobility
 from phasefront.model import (
     ModelSpec,
     cubic_identity_model,
@@ -31,6 +45,7 @@ from phasefront.model import (
     polynomial_diffusivity,
     rotated_diagonal_diffusivity,
 )
+from phasefront.profile import ProfileTable
 
 
 def _roll_step(u, spec, dt, h):
@@ -96,14 +111,15 @@ def test_step_matches_roll_reference(diffusivity, monkeypatch):
         ref = _roll_step(ref, spec, dt, g.h)
     assert np.abs(cur.values - ref).max() <= 1e-13
 
-    # the same march split into row blocks, even and uneven, is byte-equal
+    # the same march through one stepper split into row blocks, even and
+    # uneven, is byte-equal
     for blocks, rows in [(2, 16), (3, 10)]:
         _split(monkeypatch, blocks, rows)
-        assert acsolver._block_count(g.n) == blocks
-        split = fld
-        for _ in range(200):
-            split = step(split, spec, dt)
-        assert split.values.tobytes() == cur.values.tobytes()
+        with acsolver._Stepper(fld, spec) as split:
+            assert len(split.rows) == blocks
+            for _ in range(200):
+                split.advance(dt)
+            assert split.u.tobytes() == cur.values.tobytes()
 
 
 def _split(monkeypatch, blocks, rows):
@@ -181,52 +197,224 @@ def test_split_stepper_keeps_its_checks(monkeypatch):
         step(trig_product_field(g), spec, 10 * dt)
 
 
-def test_split_stepper_reuses_its_threads(monkeypatch):
+def test_split_simulate_leaves_no_processes_or_descriptors(monkeypatch):
+    _split(monkeypatch, 2, 16)
+    spec = cubic_identity_model(0.05)
+    g = Grid(32)
+    t_end = 3 * stability_dt(spec, g)
+    simulate(trig_product_field(g), spec, t_end)
+    fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        simulate(trig_product_field(g), spec, t_end)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)      # not even a zombie is left
+    assert len(os.listdir("/proc/self/fd")) <= fds
+
+
+def test_no_worker_outlives_a_run(monkeypatch):
     _split(monkeypatch, 2, 16)
     spec = cubic_identity_model(0.05)
     g = Grid(32)
     dt = stability_dt(spec, g)
-    cur = step(trig_product_field(g), spec, dt)
-    threads = threading.active_count()
-    for _ in range(50):
-        cur = step(cur, spec, dt)
-    assert threading.active_count() <= threads
-
-
-class _StalledPool:
-    """An executor whose workers never start the blocks submitted to it."""
-
-    def submit(self, fn, *args):
-        return Future()
-
-
-def test_caller_steps_the_blocks_no_worker_started(monkeypatch):
-    spec = cubic_identity_model(0.05)
-    g = Grid(32)
     fld = random_smooth_field(g, np.random.default_rng(2), amplitude=0.9)
-    whole = step(fld, spec, stability_dt(spec, g))
-    _split(monkeypatch, 3, 10)
-    monkeypatch.setattr(acsolver, "_pool", _StalledPool)
-    split = step(fld, spec, stability_dt(spec, g))
-    assert split.values.tobytes() == whole.values.tobytes()
+    snaps = simulate(fld, spec, 5 * dt, snapshot_times=[2 * dt])
+    assert live_children() == []
+
+    u0 = np.zeros((32, 32))
+    u0[20, 5] = 1e30
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(errors.Blowup):
+        simulate(ScalarField(g, u0), spec, 20 * dt)
+    assert live_children() == []
+
+    with pytest.raises(errors.CFLViolated), acsolver._Stepper(fld, spec) as stepper:
+        assert len(stepper.workers) == 1
+        stepper.advance(10 * dt)
+    assert live_children() == []
+
+    assert ordering_check(fld, ScalarField(g, fld.values + 0.1), spec, 5 * dt)[0]
+    assert live_children() == []
+
+    # of two live steppers, neither worker holds the other's pipe ends
+    with acsolver._Stepper(fld, spec) as lo, acsolver._Stepper(fld, spec) as hi:
+        for stepper in (lo, hi):
+            stepper.advance(dt)     # a worker that replied has closed the rest
+            fds = os.listdir(f"/proc/{stepper.workers[0].pid}/fd")
+            assert len([fd for fd in fds if int(fd) > 2]) == 2
+    assert live_children() == []
+
+    # returned fields own their values; a view of a closed stepper's buffer
+    # keeps that buffer mapped
+    with acsolver._Stepper(fld, spec) as stepper:
+        for _ in range(5):
+            stepper.advance(dt)
+        view = stepper.u
+    del stepper
+    assert view.tobytes() == snaps[-1].values.tobytes()
+    cur = fld
+    for _ in range(5):
+        cur = step(cur, spec, dt)
+    assert snaps[-1].values.tobytes() == cur.values.tobytes()
 
 
-def _step_split_grid():
+def test_worker_warnings_reach_the_caller(monkeypatch):
+    spec = cubic_identity_model(0.05)
+    g = Grid(16)
+    dt = stability_dt(spec, g)
+    u0 = np.zeros((16, 16))
+    u0[10, 5] = 1e200             # rows 8-11: the third of four blocks
+
+    def caught_warnings():
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="warn", invalid="ignore"):
+            warnings.simplefilter("always")
+            with pytest.raises(errors.Blowup):
+                simulate(ScalarField(g, u0), spec, 20 * dt)
+        return sorted({(w.category, str(w.message)) for w in caught})
+
+    one_block = caught_warnings()
+    assert one_block and all(c is RuntimeWarning for c, _ in one_block)
+    _split(monkeypatch, 4, 4)
+    assert caught_warnings() == one_block
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            simulate(ScalarField(g, u0), spec, 20 * dt)
+
+
+def test_killed_worker_raises_where_it_fired(monkeypatch):
+    _split(monkeypatch, 2, 16)
     spec = cubic_identity_model(0.05)
     g = Grid(32)
-    step(trig_product_field(g), spec, stability_dt(spec, g))
+    dt = stability_dt(spec, g)
+    caller = os.getpid()
+    real_advance, real_kernel = acsolver._Stepper.advance, acsolver._Stepper._kernel
+
+    def advance(self, dt):
+        if self.step_index == 3:    # the worker cannot reply to step 4
+            os.kill(self.workers[0].pid, signal.SIGSTOP)
+        real_advance(self, dt)
+
+    def kernel(self, block, buf, new, dt):
+        # the caller's block runs once the workers have their command, so
+        # the worker dies with step 4 in flight
+        if os.getpid() == caller and self.step_index == 4:
+            os.kill(self.workers[0].pid, signal.SIGKILL)
+        return real_kernel(self, block, buf, new, dt)
+
+    monkeypatch.setattr(acsolver._Stepper, "advance", advance)
+    monkeypatch.setattr(acsolver._Stepper, "_kernel", kernel)
+    with pytest.raises(errors.WorkerLost,
+                       match=r"exited at t = \S+, step 4, eps = 0\.05, grid n = 32"):
+        simulate(trig_product_field(g), spec, 20 * dt)
+    monkeypatch.setattr(acsolver._Stepper, "advance", real_advance)
+    monkeypatch.setattr(acsolver._Stepper, "_kernel", real_kernel)
+
+    # a worker that died between steps fails the next command
+    with acsolver._Stepper(trig_product_field(g), spec) as stepper:
+        stepper.advance(dt)
+        pid = stepper.workers[0].pid
+        os.kill(pid, signal.SIGKILL)
+        while process_alive(pid):
+            time.sleep(0.01)
+        with pytest.raises(errors.WorkerLost, match=r"step 2, eps = 0\.05"):
+            stepper.advance(dt)
 
 
-def test_forked_child_starts_its_own_pool(monkeypatch):
+def _simulate_split_grid():
+    spec = cubic_identity_model(0.05)
+    g = Grid(32)
+    fld = random_smooth_field(g, np.random.default_rng(7), amplitude=0.9)
+    dt = stability_dt(spec, g)
+    split = simulate(fld, spec, 20 * dt)[-1]
+    cur = fld
+    for _ in range(20):
+        cur = step(cur, spec, dt)
+    if split.values.tobytes() != cur.values.tobytes():
+        raise SystemExit(1)
+
+
+def test_forked_child_runs_its_own_split(monkeypatch):
     _split(monkeypatch, 2, 16)
-    _step_split_grid()
-    child = multiprocessing.get_context("fork").Process(target=_step_split_grid)
-    child.start()
-    child.join(timeout=30)
-    alive = child.is_alive()
-    if alive:
-        child.kill()
-    assert not alive and child.exitcode == 0
+    spec = cubic_identity_model(0.05)
+    g = Grid(32)
+    dt = stability_dt(spec, g)
+    fld = trig_product_field(g)
+    with acsolver._Stepper(fld, spec) as stepper:
+        stepper.advance(dt)
+        child = multiprocessing.get_context("fork").Process(target=_simulate_split_grid)
+        child.start()
+        child.join(timeout=30)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+        assert not alive and child.exitcode == 0
+        stepper.advance(dt)
+        assert stepper.u.tobytes() == step(step(fld, spec, dt), spec, dt).values.tobytes()
+
+
+_ENDLESS_RUN = """
+import sys
+from phasefront import acsolver
+from phasefront.acsolver import Grid, simulate, trig_product_field
+from phasefront.model import cubic_identity_model
+
+acsolver._usable_cpus = lambda: 2
+acsolver.ROWS_PER_BLOCK = 32
+try:
+    simulate(trig_product_field(Grid(64)), cubic_identity_model(0.05), 1e3)
+except KeyboardInterrupt:
+    print("interrupted")
+"""
+
+
+def _start_endless_run():
+    """A python process in its own session that marches a split 64^2 grid
+    for ever, and the pid of its one worker."""
+    src = Path(acsolver.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-c", _ENDLESS_RUN], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    deadline = time.monotonic() + 30
+    while not (workers := live_children(proc.pid)):
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            raise AssertionError(f"no worker started: {proc.communicate()}")
+        time.sleep(0.05)
+    time.sleep(0.2)             # well into the march
+    return proc, workers
+
+
+def test_worker_exits_when_its_caller_is_killed():
+    proc, workers = _start_endless_run()
+    assert len(workers) == 1
+    proc.kill()
+    proc.wait()         # not communicate(): a stuck worker holds the pipes
+    proc.stdout.close()
+    proc.stderr.close()
+    deadline = time.monotonic() + 5
+    while process_alive(workers[0]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert not process_alive(workers[0])
+    finally:            # an orphan is no child of this process: end it here
+        if process_alive(workers[0]):
+            os.kill(workers[0], signal.SIGKILL)
+
+
+def test_ctrl_c_ends_the_worker_quietly():
+    proc, workers = _start_endless_run()
+    os.killpg(proc.pid, signal.SIGINT)
+    try:
+        out, err = proc.communicate(timeout=30)
+    finally:            # the worker too, had it outlived its caller
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert out == "interrupted\n" and err == ""
+    assert not process_alive(workers[0])
 
 
 def test_simulate_logs_one_record_per_run(caplog):
@@ -236,8 +424,9 @@ def test_simulate_logs_one_record_per_run(caplog):
     with caplog.at_level(logging.DEBUG, logger="phasefront.acsolver"):
         simulate(trig_product_field(g), spec, t_end, snapshot_times=[0.5 * t_end])
     [record] = caplog.records
-    assert re.fullmatch(r"simulate: grid n = 16, row blocks = 1, steps = 10, "
-                        r"dt_max = \S+, wall = \S+ s", record.getMessage())
+    assert re.fullmatch(r"simulate: grid n = 16, row blocks = 1, workers = 0, "
+                        r"steps = 10, dt_max = \S+, reply wait = 0\.000 s, "
+                        r"wall = \S+ s", record.getMessage())
 
 
 def test_constant_equilibria_are_fixed_points():
@@ -291,6 +480,26 @@ def test_simulate_circle_radius_law():
     cont = extract_level_set(final, 0.0)[0]
     radii = np.linalg.norm(cont.vertices - 0.5, axis=1)
     assert np.abs(radii - np.sqrt(0.0625 - 0.02)).max() <= 5e-3
+
+
+def test_simulate_anisotropic_area_law():
+    # dA/dt = -int w dtheta for V_n = -kappa w(n), on the propagation model
+    # D(s) = A + B s^2 and its ellipse. mu2, the part of the mobility that
+    # comes from the nonlinear diffusion, is 2.7% of this rate: the error
+    # must fall with eps and be at most half of that at eps 0.02
+    spec0 = propagation_spec()
+    rate = tabulate_mobility(spec0, 256).area_rate()
+    table = ProfileTable.build(spec0, m_angles=64)
+    errs = []
+    for eps, n in [(0.04, 128), (0.028, 256), (0.02, 256)]:
+        spec = spec0.with_epsilon(eps)
+        u0 = tanh_ansatz_field(Grid(n), spec, table, propagation_ellipse())
+        snaps = simulate(u0, spec, 4e-3, snapshot_times=[2e-3])
+        a1, a2 = (enclosed_area(extract_level_set(s, spec.reaction.alpha_mid)[0])
+                  for s in snaps)
+        errs.append(abs((a1 - a2) / 2e-3 / rate - 1.0))
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] <= 1.35e-2
 
 
 def test_extract_level_set_cases():

@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import rotate_curve, rounded_square_curve, translate_curve, turning_number
+from helpers import (
+    propagation_ellipse,
+    propagation_spec,
+    rotate_curve,
+    rounded_square_curve,
+    translate_curve,
+    turning_number,
+)
 
 from phasefront import curves, errors
 from phasefront.acsolver import Grid
@@ -34,7 +41,6 @@ from phasefront.model import (
     cubic_identity_model,
     cubic_reaction,
     diagonal_diffusivity,
-    polynomial_diffusivity,
     rotated_diagonal_diffusivity,
 )
 
@@ -113,20 +119,6 @@ def test_front_isotropic_nonlinear_radius_law():
     assert worst <= 1e-3
 
 
-def _rot(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def _propagation_spec():
-    """The benchmark's propagation model at seed 1: D(s) = A + B s^2."""
-    phi = 1.6079350561067187
-    a = _rot(phi) @ np.diag([1.0, 1.6]) @ _rot(phi).T
-    b = _rot(phi + 0.6) @ np.diag([0.08, -0.04]) @ _rot(phi + 0.6).T
-    entries = [[[a[i, j], 0.0, b[i, j]] for j in range(2)] for i in range(2)]
-    return ModelSpec(cubic_reaction(), polynomial_diffusivity(entries), 0.02)
-
-
 _CIRCLE = circle_curve((0.5, 0.5), 0.2, 256, h_target=2 * np.pi * 0.2 / 256)
 
 
@@ -135,8 +127,7 @@ _CIRCLE = circle_curve((0.5, 0.5), 0.2, 256, h_target=2 * np.pi * 0.2 / 256)
     (ModelSpec(cubic_reaction(), diagonal_diffusivity([1.0, 2.0]), 0.02), _CIRCLE),
     (ModelSpec(cubic_reaction(), rotated_diagonal_diffusivity(0.7, [1.0, 1.8]), 0.02),
      _CIRCLE),
-    (_propagation_spec(),
-     ellipse_curve((0.5450463696325936, 0.4644159612719634), 0.25, 0.17, 256)),
+    (propagation_spec(), propagation_ellipse()),
 ], ids=["identity", "diag", "rotated-constant", "propagation-ellipse"])
 def test_front_area_decay_rate(spec, curve):
     # dA/dt = -int w dtheta for any simple closed curve (2 pi for mu = I),
@@ -368,6 +359,19 @@ def test_level_set_rejects_dt_above_its_bound(identity_mobility, factor):
                                f"grid n = 64")
     with pytest.raises(errors.CFLViolated):
         step_level_set(sdf, identity_mobility, factor * bound)
+
+
+def test_level_set_dt_reads_the_weight_table_once(diag_mobility, monkeypatch):
+    g = Grid(64)
+    bound = level_set_dt(diag_mobility, g)
+    assert bound == g.h**2 / (8.0 * float(diag_mobility.weight_lookup()[0].max()))
+
+    def reread(self):
+        raise AssertionError("the weight table was read again")
+
+    monkeypatch.setattr(type(diag_mobility), "weight_lookup", reread)
+    assert level_set_dt(diag_mobility, g) == bound
+    assert level_set_dt(diag_mobility, Grid(128)) == bound / 4.0
 
 
 def test_level_set_gradient_degeneracy():
