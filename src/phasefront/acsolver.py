@@ -18,7 +18,9 @@ runs the first block and a forked worker process each other one, on field
 buffers in shared memory. Threads would not do: the kernel's numpy
 operations on a block hold the interpreter lock for much of their time, so
 two threads stepped a 256^2 grid no faster than one. Every cell sees the
-same arithmetic however the rows are split.
+same arithmetic however the rows are split. A worker only records numpy's
+error flags; the caller steps a flagged block again under its own
+``np.errstate``, so numpy acts on the errors as in the one-block march.
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ import logging
 import math
 import mmap
 import os
-import pickle
 import signal
 import struct
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +50,8 @@ CFL_REACTION_SAFETY = 0.2
 # machine a 128^2 step split across two processes took 0.185 ms against
 # 0.155 ms whole, the difference being the pipe round trip.
 ROWS_PER_BLOCK = 128
+ORDERING_TOL = 1e-8         # largest u_low - u_high ordering_check accepts
+RANDOM_MAX_MODE = 3         # highest wave number of random_smooth_field
 
 _log = logging.getLogger(__name__)
 
@@ -160,17 +162,12 @@ def _block_count(n: int) -> int:
     return max(1, min(_usable_cpus(), n // ROWS_PER_BLOCK))
 
 
-# One command to a worker: the parity of the buffer that holds the field, dt
-# and the caller's numpy error modes for divide, over, under and invalid. One
-# reply: the block's min and max and the byte length of the pickled (error,
-# warnings) that follows when the block raised or warned.
-_COMMAND = struct.Struct("<Bd4B")
-_REPLY = struct.Struct("<ddI")
-_ERR_KINDS = ("divide", "over", "under", "invalid")
-_ERR_MODES = ("ignore", "warn", "raise", "call", "print", "log")
-# 'call' and 'log' name a callback of the caller, so a worker warns instead
-# and the caller re-issues the warning
-_WORKER_MODES = ("ignore", "warn", "raise", "warn", "print", "warn")
+# One command to a worker: the parity of the buffer that holds the field and
+# dt. One reply: the block's min and max and the numpy error flags its step
+# raised, as numpy's error callback reports them.
+_COMMAND = struct.Struct("<Bd")
+_REPLY = struct.Struct("<ddB")
+_FLAG_BITS = {"divide": 1, "over": 2, "under": 4, "invalid": 8}
 
 
 def _read_exact(fd: int, size: int) -> bytes:
@@ -182,12 +179,6 @@ def _read_exact(fd: int, size: int) -> bytes:
             break
         data += chunk
     return data
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
 
 
 class _RowWorker:
@@ -244,11 +235,12 @@ class _Stepper:
     The caller steps the first block. Each other block has a worker process,
     forked when the stepper is built, that shares the two field buffers
     through one anonymous shared mapping and keeps its own work arrays. Per
-    step the caller sends every worker one command and waits for one reply,
-    after which it refreshes the ghost rows and swaps the buffers. A grid
-    under 2 * ROWS_PER_BLOCK rows, a stepper built with split=False and a
-    system without os.fork run as one block on the caller. Closing the
-    stepper, or leaving its ``with`` block, ends its workers.
+    step the caller sends every worker one command, reads one reply, steps
+    again any block whose error flags meet a mode it does not ignore, and
+    then refreshes the ghost rows and swaps the buffers. A grid under
+    2 * ROWS_PER_BLOCK rows, a stepper built with split=False and a system
+    without os.fork run as one block on the caller. Closing the stepper, or
+    leaving its ``with`` block, ends its workers.
     """
 
     def __init__(self, fld: ScalarField, spec: ModelSpec, *,
@@ -380,56 +372,38 @@ class _Stepper:
 
     def _serve(self, rows, cmd: int, reply: int) -> None:
         """A worker's loop: step its block on every command until the
-        caller's end of the command pipe closes."""
+        caller's end of the command pipe closes. numpy hands every
+        floating-point error to a callback that records its flag bits."""
         block = self._work_block(rows)
+        flags = 0
+
+        def record(kind: str, flag: int) -> None:
+            nonlocal flags
+            flags |= flag
+
+        np.seterrcall(record)
+        np.seterr(all="call")
         while command := _read_exact(cmd, _COMMAND.size):
-            parity, dt, *modes = _COMMAND.unpack(command)
-            lo = hi = math.nan
-            error = None
-            with warnings.catch_warnings(record=True) as caught, np.errstate(
-                    **{kind: _WORKER_MODES[m] for kind, m in zip(_ERR_KINDS, modes)}):
-                warnings.simplefilter("always")
-                try:
-                    lo, hi = self._kernel(block, self._pair[parity],
-                                          self._pair[1 - parity], dt)
-                except Exception as exc:    # raised again by the caller
-                    error = exc
-            extra = b""
-            if error is not None or caught:
-                extra = pickle.dumps((error, [(str(w.message), w.category,
-                                               w.filename, w.lineno)
-                                              for w in caught]))
-            _write_all(reply, _REPLY.pack(lo, hi, len(extra)) + extra)
+            parity, dt = _COMMAND.unpack(command)
+            flags = 0
+            lo, hi = self._kernel(block, self._pair[parity],
+                                  self._pair[1 - parity], dt)
+            os.write(reply, _REPLY.pack(lo, hi, flags))  # atomic: under PIPE_BUF
 
     def _lost(self, worker: _RowWorker) -> WorkerLost:
         return WorkerLost(f"row-block worker {worker.pid} exited at {self._where()}")
 
     def _gather(self) -> list:
-        """Every worker's (min, max) for this step. Their warnings are issued
-        again here and the first block error is raised, once all replied."""
+        """Every worker's (min, max, flags) for this step."""
         start = time.perf_counter()
         replies = []
         for worker in self.workers:
-            head = _read_exact(worker.reply, _REPLY.size)
-            if len(head) < _REPLY.size:
+            reply = _read_exact(worker.reply, _REPLY.size)
+            if len(reply) < _REPLY.size:
                 raise self._lost(worker)
-            lo, hi, size = _REPLY.unpack(head)
-            extra = _read_exact(worker.reply, size)
-            if len(extra) < size:
-                raise self._lost(worker)
-            replies.append((lo, hi, extra))
+            replies.append(_REPLY.unpack(reply))
         self.reply_wait += time.perf_counter() - start
-        for _, _, extra in replies:
-            if extra:
-                error, caught = pickle.loads(extra)
-                for message, category, filename, lineno in caught:
-                    # the module and registry numpy's own warning would use
-                    warnings.warn_explicit(
-                        message, category, filename, lineno, module=__name__,
-                        registry=globals().setdefault("__warningregistry__", {}))
-                if error is not None:
-                    raise error
-        return [(lo, hi) for lo, hi, _ in replies]
+        return replies
 
     def advance(self, dt: float) -> None:
         """One forward-Euler step of length dt."""
@@ -439,15 +413,12 @@ class _Stepper:
                 f"dt = {dt:g} exceeds the stability bound {self.dt_max:g} "
                 f"at {self._where()}")
         buf, new = self._pair[self._parity], self._pair[1 - self._parity]
-        if self.workers:
-            modes = np.geterr()
-            command = _COMMAND.pack(self._parity, dt,
-                                    *(_ERR_MODES.index(modes[k]) for k in _ERR_KINDS))
-            for worker in self.workers:
-                try:
-                    os.write(worker.cmd, command)   # atomic: under PIPE_BUF
-                except OSError as exc:
-                    raise self._lost(worker) from exc
+        command = _COMMAND.pack(self._parity, dt)
+        for worker in self.workers:
+            try:
+                os.write(worker.cmd, command)   # atomic: under PIPE_BUF
+            except OSError as exc:
+                raise self._lost(worker) from exc
         try:
             ranges = [self._kernel(self._block, buf, new, dt)]
         except BaseException:
@@ -456,7 +427,14 @@ class _Stepper:
             with contextlib.suppress(Exception):
                 self._gather()
             raise
-        ranges += self._gather()
+        for rows, (lo, hi, flags) in zip(self.rows[1:], self._gather()):
+            if flags and any(mode != "ignore" and flags & _FLAG_BITS[kind]
+                             for kind, mode in np.geterr().items()):
+                # the kernel reads only buf, so stepping the worker's rows
+                # again writes the bytes it wrote, and numpy warns, raises
+                # or calls back as the caller's errstate says
+                lo, hi = self._kernel(self._work_block(rows), buf, new, dt)
+            ranges.append((lo, hi))
         self.t += dt
         if not all(math.isfinite(x) for r in ranges for x in r):
             raise Blowup(f"non-finite value at {self._where()}")
@@ -513,7 +491,7 @@ def extract_level_set(fld: ScalarField, level: float) -> list[FrontCurve]:
 
 
 def ordering_check(u_low: ScalarField, u_high: ScalarField, spec: ModelSpec,
-                   t_end: float, tol: float = 1e-8):
+                   t_end: float):
     """March both fields in lockstep; report the worst comparison violation."""
     if u_low.grid.n != u_high.grid.n:
         raise ConfigError("fields live on different grids")
@@ -532,7 +510,7 @@ def ordering_check(u_low: ScalarField, u_high: ScalarField, spec: ModelSpec,
             hi.advance(dt)
             t += dt
             violation = max(violation, float(np.max(lo.u - hi.u)))
-    return violation <= tol, violation
+    return violation <= ORDERING_TOL, violation
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +524,12 @@ def trig_product_field(grid: Grid, amplitude: float = 0.5, kx: int = 1,
     return ScalarField(grid, vals)
 
 
-def random_smooth_field(grid: Grid, rng, amplitude: float = 0.5,
-                        max_mode: int = 3, offset: float = 0.0) -> ScalarField:
+def random_smooth_field(grid: Grid, rng, amplitude: float = 0.5) -> ScalarField:
     """Random low-mode trigonometric polynomial with sup-norm <= amplitude."""
     x, y = grid.cell_centers()
     vals = np.zeros_like(x)
-    for kx in range(max_mode + 1):
-        for ky in range(max_mode + 1):
+    for kx in range(RANDOM_MAX_MODE + 1):
+        for ky in range(RANDOM_MAX_MODE + 1):
             if kx == 0 and ky == 0:
                 continue
             amp = rng.normal()
@@ -562,7 +539,7 @@ def random_smooth_field(grid: Grid, rng, amplitude: float = 0.5,
     sup = np.abs(vals).max()
     if sup > 0:
         vals *= amplitude / sup
-    return ScalarField(grid, offset + vals)
+    return ScalarField(grid, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,20 +20,13 @@ class ShapeSpec:
     params: dict
 
     def build_curve(self, n_vertices: int = 512) -> FrontCurve:
-        p = dict(self.params)
+        p = self.params
+        center = (p.get("cx", 0.5), p.get("cy", 0.5))
         if self.kind == "circle":
-            r = float(p.pop("r"))
-            center = (float(p.pop("cx", 0.5)), float(p.pop("cy", 0.5)))
-            if p:
-                raise ConfigError(f"unknown circle params: {sorted(p)}")
-            return circle_curve(center, r, n_vertices,
-                                h_target=2 * np.pi * r / n_vertices)
+            return circle_curve(center, p["r"], n_vertices,
+                                h_target=2 * np.pi * p["r"] / n_vertices)
         if self.kind == "ellipse":
-            a, b = float(p.pop("a")), float(p.pop("b"))
-            center = (float(p.pop("cx", 0.5)), float(p.pop("cy", 0.5)))
-            if p:
-                raise ConfigError(f"unknown ellipse params: {sorted(p)}")
-            return ellipse_curve(center, a, b, n_vertices)
+            return ellipse_curve(center, p["a"], p["b"], n_vertices)
         raise ConfigError(f"shape kind {self.kind!r} does not define a curve")
 
     @property
@@ -40,14 +34,44 @@ class ShapeSpec:
         return self.kind in ("circle", "ellipse")
 
 
+# each shape kind's required params, which are sizes and must be positive,
+# and its optional ones
+_SHAPE_PARAMS = {
+    "circle": ({"r"}, {"cx", "cy"}),
+    "ellipse": ({"a", "b"}, {"cx", "cy"}),
+    "trig": (set(), {"amplitude", "kx", "ky", "offset"}),
+}
+
+
+def _finite_param(key: str, val) -> float:
+    try:
+        x = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"shape param {key!r} must be a number, got {val!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"shape param {key!r} must be finite, got {val!r}")
+    return x
+
+
 def _shape_from_dict(cfg: dict) -> ShapeSpec:
+    """The shape of a CLI string or a JSON config, its params as floats:
+    every required param present, every param a finite number, radii and
+    semi-axes positive."""
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)
     params = dict(cfg.pop("params", {}))
     if cfg:
         raise ConfigError(f"unknown shape fields: {sorted(cfg)}")
-    if kind not in ("circle", "ellipse", "trig"):
+    if kind not in _SHAPE_PARAMS:
         raise ConfigError(f"unknown shape kind {kind!r}")
+    required, optional = _SHAPE_PARAMS[kind]
+    if missing := required - params.keys():
+        raise ConfigError(f"shape {kind!r} is missing params {sorted(missing)}")
+    if unknown := params.keys() - required - optional:
+        raise ConfigError(f"shape {kind!r} has unknown params {sorted(unknown)}")
+    params = {key: _finite_param(key, val) for key, val in params.items()}
+    if small := sorted(key for key in required if params[key] <= 0.0):
+        raise ConfigError(f"shape {kind!r} params {small} must be positive")
     return ShapeSpec(kind, params)
 
 
@@ -61,7 +85,7 @@ def parse_shape_string(text: str) -> ShapeSpec:
             if not val:
                 raise ConfigError(f"malformed shape parameter {item!r}")
             key = {"R": "r"}.get(key.strip(), key.strip().lower())
-            params[key] = float(val)
+            params[key] = val
     return _shape_from_dict({"kind": kind.strip().lower(), "params": params})
 
 

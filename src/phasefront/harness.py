@@ -38,6 +38,13 @@ from .mobility import tabulate_mobility
 from .model import ModelSpec
 from .profile import ProfileTable
 
+LEMMA_TAU_MAX = 5.0
+LEMMA_N_TAU = 40
+LEMMA_XI_SPAN = 1.5
+LEMMA_N_XI = 41
+LEMMA_CEILING = 100.0
+ORDER_THRESHOLD = 0.8       # least fitted convergence order a sweep passes with
+
 
 def t_epsilon(spec: ModelSpec, eps: float) -> float:
     """Generation time scale eps^2 |ln eps| / nu."""
@@ -114,18 +121,16 @@ class GenerationLemmaReport:
 
 
 def check_generation_lemma(spec: ModelSpec, eta: float = 0.1,
-                           eps_list=(0.04, 0.02, 0.01),
-                           tau_max: float = 5.0, n_tau: int = 40,
-                           xi_span: float = 1.5, n_xi: int = 41,
-                           ceiling: float = 100.0) -> GenerationLemmaReport:
+                           eps_list=(0.04, 0.02, 0.01)) -> GenerationLemmaReport:
     """Fit the minimal constants of the reaction-clock estimates and verify
     the eps-threshold statements for the configured eps list."""
     r = spec.reaction
     if not (0.0 < eta < r.eta0):
         raise ConfigError(f"eta must lie in (0, {r.eta0}), got {eta}")
     nu = r.nu
-    xi = np.linspace(r.alpha_mid - xi_span, r.alpha_mid + xi_span, n_xi)
-    taus = np.linspace(0.05, tau_max, n_tau)
+    xi = np.linspace(r.alpha_mid - LEMMA_XI_SPAN, r.alpha_mid + LEMMA_XI_SPAN,
+                     LEMMA_N_XI)
+    taus = np.linspace(0.05, LEMMA_TAU_MAX, LEMMA_N_TAU)
     c_slope = 0.0
     c_curv = 0.0
     for tau, (y, dy, d2y) in zip(taus, reaction_trajectory(spec, xi, taus)):
@@ -135,7 +140,7 @@ def check_generation_lemma(spec: ModelSpec, eta: float = 0.1,
 
     # threshold constants: Y_xi > 0 makes Y monotone in xi, so for each eps
     # read the crossing off a fine grid of candidates xi = alpha +- C eps
-    c_grid = np.linspace(0.0, float(ceiling), 2049)
+    c_grid = np.linspace(0.0, LEMMA_CEILING, 2049)
     c_threshold = 0.0
     bounds_ok = True
     for eps in eps_list:
@@ -193,14 +198,10 @@ class GenerationReport:
 def _initial_field(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
     shape = cfg.shape
     if shape.kind == "trig":
-        p = dict(shape.params)
-        amp = float(p.pop("amplitude", 0.5))
-        kx = int(p.pop("kx", 1))
-        ky = int(p.pop("ky", 1))
-        offset = float(p.pop("offset", 0.0))
-        if p:
-            raise ConfigError(f"unknown trig params: {sorted(p)}")
-        return trig_product_field(grid, amp, kx, ky, offset)
+        p = shape.params
+        return trig_product_field(grid, p.get("amplitude", 0.5),
+                                  int(p.get("kx", 1)), int(p.get("ky", 1)),
+                                  p.get("offset", 0.0))
     raise ConfigError(f"shape kind {shape.kind!r} does not define a smooth "
                       "initial field; use 'trig' for generation runs")
 
@@ -304,8 +305,7 @@ class ConvergenceReport:
                 "rows": [asdict(r) for r in self.rows]}
 
 
-def propagation_sweep(cfg: ExperimentConfig,
-                      order_threshold: float = 0.8) -> ConvergenceReport:
+def propagation_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     """Phase-field contours against the front-tracking flow across eps."""
     if not cfg.shape.is_curve:
         raise ConfigError("propagation needs a geometric shape (circle/ellipse)")
@@ -365,7 +365,7 @@ def propagation_sweep(cfg: ExperimentConfig,
         order = float(slope)
     passed = (monotone and all(row.bounds_ok for row in rows)
               and all(row.band_fraction_outside == 0.0 for row in rows)
-              and (order is None or order >= order_threshold))
+              and (order is None or order >= ORDER_THRESHOLD))
     return ConvergenceReport(rows=rows, checkpoints=cfg.checkpoints,
                              order=order, monotone=monotone, eta_p=cfg.eta_p,
                              passed=passed)

@@ -142,7 +142,6 @@ class MobilityTensor:
     lam_table: np.ndarray
     mu_table: np.ndarray                      # (m, 2, 2)
     _spline: CubicSpline
-    _dense: tuple | None = None
 
     def lam_mu(self, e) -> tuple[float, np.ndarray]:
         """Spline-interpolated (lambda, mu) at the unit direction e."""
@@ -163,12 +162,13 @@ class MobilityTensor:
 
     def weight_lookup(self) -> tuple[np.ndarray, float]:
         """(w at the MU_LOOKUP_ANGLES angles k * dtheta, dtheta)."""
-        if self._dense is None:
-            th = 2.0 * np.pi * np.arange(MU_LOOKUP_ANGLES) / MU_LOOKUP_ANGLES
-            normals = np.stack([np.cos(th), np.sin(th)], axis=1)
-            self._dense = (self.tangential_weight(normals),
-                           2.0 * np.pi / MU_LOOKUP_ANGLES)
         return self._dense
+
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, float]:
+        th = 2.0 * np.pi * np.arange(MU_LOOKUP_ANGLES) / MU_LOOKUP_ANGLES
+        normals = np.stack([np.cos(th), np.sin(th)], axis=1)
+        return self.tangential_weight(normals), 2.0 * np.pi / MU_LOOKUP_ANGLES
 
     @cached_property
     def max_weight(self) -> float:

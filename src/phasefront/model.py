@@ -106,9 +106,6 @@ class ReactionSpec:
     def f_prime(self, u):
         return self.poly.deriv()(u)
 
-    def f_second(self, u):
-        return self.poly.deriv(2)(u)
-
     @property
     def nu(self) -> float:
         return float(self.poly.deriv()(self.alpha_mid))

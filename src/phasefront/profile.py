@@ -53,6 +53,7 @@ XI_SPAN = 40.0              # panels cover xi_mid +- XI_SPAN; nodes past them
                             # take the end value, within ulps of a well
 NEWTON_STEPS = 3
 NEWTON_TOL = 1e-12          # |z(xi) - z| allowed after the last step, times max(1, |z|)
+SOLVABLE_TOL = 1e-6         # |solvability integral| solve_linearized accepts
 
 _GL_X, _GL_W = legendre.leggauss(PANEL_ORDER)
 # column i: ascending powers of x of int_{-1}^x L_i, L_i the Lagrange basis
@@ -237,8 +238,7 @@ def solvability_residual(profile: WaveProfile, g) -> float:
     return float(np.trapezoid(gv * profile.sqrt_w_values(), profile.z))
 
 
-def solve_linearized(profile: WaveProfile, g,
-                     solvable_tol: float = 1e-6) -> np.ndarray:
+def solve_linearized(profile: WaveProfile, g) -> np.ndarray:
     """Bounded solution psi of (a_e(U0) psi)_zz + f'(U0) psi = g, psi(0) = 0.
 
     Evaluates the closed-form double integral; on the right half the inner
@@ -247,9 +247,9 @@ def solve_linearized(profile: WaveProfile, g,
     """
     gv = _g_values(profile, g)
     residual = solvability_residual(profile, gv)
-    if abs(residual) > solvable_tol:
+    if abs(residual) > SOLVABLE_TOL:
         raise NotSolvable(
-            f"solvability integral {residual:.6e} exceeds {solvable_tol:g}")
+            f"solvability integral {residual:.6e} exceeds {SOLVABLE_TOL:g}")
 
     z = profile.z
     az = profile.sqrt_w_values()

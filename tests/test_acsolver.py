@@ -263,6 +263,9 @@ def test_worker_warnings_reach_the_caller(monkeypatch):
     u0 = np.zeros((16, 16))
     u0[10, 5] = 1e200             # rows 8-11: the third of four blocks
 
+    tiny = np.zeros((16, 16))
+    tiny[10, 5] = 1e-310          # subnormal: its square underflows
+
     def caught_warnings():
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(over="warn", invalid="ignore"):
@@ -271,14 +274,53 @@ def test_worker_warnings_reach_the_caller(monkeypatch):
                 simulate(ScalarField(g, u0), spec, 20 * dt)
         return sorted({(w.category, str(w.message)) for w in caught})
 
+    def callback_kinds():
+        kinds = []
+        with warnings.catch_warnings(), np.errstate(
+                over="call", invalid="ignore", call=lambda kind, flag: kinds.append(kind)):
+            warnings.simplefilter("error")      # no RuntimeWarning either
+            with pytest.raises(errors.Blowup):
+                simulate(ScalarField(g, u0), spec, 20 * dt)
+        return sorted(set(kinds))
+
+    def underflow_error():
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError) as info:
+            simulate(ScalarField(g, tiny), spec, 20 * dt)
+        return str(info.value)
+
     one_block = caught_warnings()
     assert one_block and all(c is RuntimeWarning for c, _ in one_block)
+    one_block_calls = callback_kinds()
+    assert one_block_calls == ["overflow"]
+    assert underflow_error() == "underflow encountered in multiply"
     _split(monkeypatch, 4, 4)
     assert caught_warnings() == one_block
     with warnings.catch_warnings(), np.errstate(over="warn", invalid="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="overflow"):
             simulate(ScalarField(g, u0), spec, 20 * dt)
+    # a worker's flags make the caller step its block again under the
+    # caller's own errstate, callback included
+    assert callback_kinds() == one_block_calls
+    assert underflow_error() == "underflow encountered in multiply"
+    # a flag whose mode is 'ignore' steps no block again: the caller runs
+    # only its own block
+    caller, real_kernel = os.getpid(), acsolver._Stepper._kernel
+    rows_stepped = []
+
+    def kernel(self, block, *args):
+        if os.getpid() == caller:
+            rows_stepped.append(block[:2])
+        return real_kernel(self, block, *args)
+
+    monkeypatch.setattr(acsolver._Stepper, "_kernel", kernel)
+    with np.errstate(under="ignore"):
+        split = simulate(ScalarField(g, tiny), spec, 2 * dt)[-1]
+    assert rows_stepped == [(0, 4), (0, 4)]
+    monkeypatch.setattr(acsolver._Stepper, "_kernel", real_kernel)
+    with np.errstate(under="ignore"):
+        one_block = step(step(ScalarField(g, tiny), spec, dt), spec, dt)
+    assert split.values.tobytes() == one_block.values.tobytes()
 
 
 def test_killed_worker_raises_where_it_fired(monkeypatch):

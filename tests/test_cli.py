@@ -51,6 +51,24 @@ def test_missing_or_bad_config_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("shape", [
+    "circle:R=abc",             # not a number
+    "circle",                   # r missing
+    "ellipse:a=0.2",            # b missing
+    "circle:R=0.25,cx=nan",     # not finite
+    "circle:R=-0.1",            # not positive
+    "ellipse:a=0.2,b=0",
+    "circle:R=0.25,q=1",        # unknown param
+])
+def test_malformed_shape_exits_3(cubic_cfg, tmp_path, capsys, shape):
+    out = tmp_path / "front.csv"
+    assert cli_main(["flow", "--mode", "front", "--config", cubic_cfg,
+                     "--shape", shape, "--tend", "0.0001",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("config error: shape")
+    assert not out.exists()
+
+
 def test_profile_csv(cubic_cfg, tmp_path):
     out = tmp_path / "profile.csv"
     assert cli_main(["profile", "--config", cubic_cfg, "--e", "0,1",

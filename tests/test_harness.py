@@ -130,6 +130,13 @@ def test_parse_shape_string():
         parse_shape_string("blob:R=1")
     with pytest.raises(errors.ConfigError):
         parse_shape_string("circle:R")
+    # JSON configs pass the same checks as the CLI strings
+    for params in ({}, {"r": "abc"}, {"r": 0.25, "cx": float("inf")},
+                   {"r": -0.1}, {"r": 0.25, "q": 1}):
+        with pytest.raises(errors.ConfigError, match="shape"):
+            _experiment(shape={"kind": "circle", "params": params})
+    with pytest.raises(errors.ConfigError, match="shape 'trig' has unknown"):
+        _experiment(shape={"kind": "trig", "params": {"amplitud": 0.5}})
 
 
 def test_generation_experiment_trivial_fields():
