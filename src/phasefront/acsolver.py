@@ -8,19 +8,19 @@ is pointwise. Every flux term telescopes over the torus, so the reaction-free
 scheme conserves mass to round-off.
 
 One scheme path serves every diffusivity: a constant entry is a degree-0
-polynomial, whose face value is a scalar factor. ``simulate`` and
-``ordering_check`` march a per-run stepper that computes the stability bound
-and the Horner coefficients once and works on preallocated buffers; ``step``
-is the CFL-checked single-step wrapper around the same stepper, run as one
-block. The stepper splits the grid into row blocks, one per usable CPU but
-none under ROWS_PER_BLOCK rows, and steps them with one kernel: the caller
-runs the first block and a forked worker process each other one, on field
-buffers in shared memory. Threads would not do: the kernel's numpy
-operations on a block hold the interpreter lock for much of their time, so
-two threads stepped a 256^2 grid no faster than one. Every cell sees the
-same arithmetic however the rows are split. A worker only records numpy's
-error flags; the caller steps a flagged block again under its own
-``np.errstate``, so numpy acts on the errors as in the one-block march.
+polynomial, whose face value is a scalar factor. A ``Stepper`` holds one
+march, with the stability bound and the Horner coefficients computed once and
+the field in preallocated buffers, and ``step(stepper, dt)`` takes its every
+CFL-checked step, in ``simulate``, ``ordering_check`` and any other march.
+The stepper splits the grid into row blocks, one per usable CPU but none
+under ROWS_PER_BLOCK rows, and steps them with one kernel: the caller runs
+the first block and a forked worker process each other one, on field buffers
+in shared memory. Threads would not do: the kernel's numpy operations on a
+block hold the interpreter lock for much of their time, so two threads
+stepped a 256^2 grid no faster than one. Every cell sees the same arithmetic
+however the rows are split. A worker only records numpy's error flags; the
+caller steps a flagged block again under its own ``np.errstate``, so numpy
+acts on the errors as in the one-block march.
 """
 
 from __future__ import annotations
@@ -224,27 +224,27 @@ class _RowWorker:
         os.waitpid(self.pid, 0)
 
 
-class _Stepper:
+class Stepper:
     """Forward-Euler march of one (spec, grid, reaction) on preallocated
-    buffers.
+    buffers; ``step(stepper, dt)`` takes each step.
 
-    The stability bound and the Horner coefficients are computed once. The
-    field lives in an (n+2) x n buffer whose first and last rows are ghost
-    copies of rows n-1 and 0, so every row block reads its one-row halo as a
-    plain slice. One kernel steps a block of rows into the second buffer.
-    The caller steps the first block. Each other block has a worker process,
-    forked when the stepper is built, that shares the two field buffers
-    through one anonymous shared mapping and keeps its own work arrays. Per
-    step the caller sends every worker one command, reads one reply, steps
-    again any block whose error flags meet a mode it does not ignore, and
-    then refreshes the ghost rows and swaps the buffers. A grid under
-    2 * ROWS_PER_BLOCK rows, a stepper built with split=False and a system
-    without os.fork run as one block on the caller. Closing the stepper, or
-    leaving its ``with`` block, ends its workers.
+    The stability bound dt_max and the Horner coefficients are computed
+    once. The field lives in an (n+2) x n buffer whose first and last rows
+    are ghost copies of rows n-1 and 0, so every row block reads its one-row
+    halo as a plain slice. One kernel steps a block of rows into the second
+    buffer. The caller steps the first block. Each other block has a worker
+    process, forked when the stepper is built, that shares the two field
+    buffers through one anonymous shared mapping and keeps its own work
+    arrays. Per step the caller sends every worker one command, reads one
+    reply, steps again any block whose error flags meet a mode it does not
+    ignore, and then refreshes the ghost rows and swaps the buffers. A grid
+    under 2 * ROWS_PER_BLOCK rows and a system without os.fork run as one
+    block on the caller. Closing the stepper, or leaving its ``with`` block,
+    ends its workers. ``u`` views the field, ``field()`` copies it out at
+    time ``t`` and ``step_index`` counts the steps.
     """
 
-    def __init__(self, fld: ScalarField, spec: ModelSpec, *,
-                 reaction: bool = True, split: bool = True):
+    def __init__(self, fld: ScalarField, spec: ModelSpec, *, reaction: bool = True):
         grid = fld.grid
         self.grid = grid
         self.eps = spec.epsilon
@@ -257,7 +257,7 @@ class _Stepper:
         self.f = _descending(spec.reaction.poly) if reaction else None
         self.inv_h2 = 1.0 / (grid.h * grid.h)
         n = grid.n
-        k = _block_count(n) if split and hasattr(os, "fork") else 1
+        k = _block_count(n) if hasattr(os, "fork") else 1
         edges = [n * i // k for i in range(k + 1)]
         self.rows = list(zip(edges[:-1], edges[1:]))
         shape = (2, n + 2, n)
@@ -282,7 +282,7 @@ class _Stepper:
             self.close()
             raise
 
-    def __enter__(self) -> "_Stepper":
+    def __enter__(self) -> "Stepper":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -405,55 +405,48 @@ class _Stepper:
         self.reply_wait += time.perf_counter() - start
         return replies
 
-    def advance(self, dt: float) -> None:
-        """One forward-Euler step of length dt."""
-        self.step_index += 1
-        if dt > self.dt_max * (1.0 + 1e-9):
-            raise CFLViolated(
-                f"dt = {dt:g} exceeds the stability bound {self.dt_max:g} "
-                f"at {self._where()}")
-        buf, new = self._pair[self._parity], self._pair[1 - self._parity]
-        command = _COMMAND.pack(self._parity, dt)
-        for worker in self.workers:
-            try:
-                os.write(worker.cmd, command)   # atomic: under PIPE_BUF
-            except OSError as exc:
-                raise self._lost(worker) from exc
+
+def step(stepper: Stepper, dt: float) -> None:
+    """One forward-Euler step of length dt of the stepper's field. Raises
+    CFLViolated, Blowup or WorkerLost naming the t, step, eps and grid at
+    which it fired."""
+    stepper.step_index += 1
+    if dt > stepper.dt_max * (1.0 + 1e-9):
+        raise CFLViolated(
+            f"dt = {dt:g} exceeds the stability bound {stepper.dt_max:g} "
+            f"at {stepper._where()}")
+    buf, new = stepper._pair[stepper._parity], stepper._pair[1 - stepper._parity]
+    command = _COMMAND.pack(stepper._parity, dt)
+    for worker in stepper.workers:
         try:
-            ranges = [self._kernel(self._block, buf, new, dt)]
-        except BaseException:
-            # no block may still write once this returns; the caller's own
-            # error is the one raised
-            with contextlib.suppress(Exception):
-                self._gather()
-            raise
-        for rows, (lo, hi, flags) in zip(self.rows[1:], self._gather()):
-            if flags and any(mode != "ignore" and flags & _FLAG_BITS[kind]
-                             for kind, mode in np.geterr().items()):
-                # the kernel reads only buf, so stepping the worker's rows
-                # again writes the bytes it wrote, and numpy warns, raises
-                # or calls back as the caller's errstate says
-                lo, hi = self._kernel(self._work_block(rows), buf, new, dt)
-            ranges.append((lo, hi))
-        self.t += dt
-        if not all(math.isfinite(x) for r in ranges for x in r):
-            raise Blowup(f"non-finite value at {self._where()}")
-        self._refresh_ghosts(new)
-        self._parity ^= 1
-
-
-def step(fld: ScalarField, spec: ModelSpec, dt: float, *,
-         reaction: bool = True) -> ScalarField:
-    """One forward-Euler step; raises CFLViolated/Blowup on contract breaks.
-
-    The step runs as one block: forking workers would cost more than it."""
-    stepper = _Stepper(fld, spec, reaction=reaction, split=False)
-    stepper.advance(dt)
-    return ScalarField(fld.grid, stepper.u, stepper.t)
+            os.write(worker.cmd, command)   # atomic: under PIPE_BUF
+        except OSError as exc:
+            raise stepper._lost(worker) from exc
+    try:
+        ranges = [stepper._kernel(stepper._block, buf, new, dt)]
+    except BaseException:
+        # no block may still write once this returns; the caller's own
+        # error is the one raised
+        with contextlib.suppress(Exception):
+            stepper._gather()
+        raise
+    for rows, (lo, hi, flags) in zip(stepper.rows[1:], stepper._gather()):
+        if flags and any(mode != "ignore" and flags & _FLAG_BITS[kind]
+                         for kind, mode in np.geterr().items()):
+            # the kernel reads only buf, so stepping the worker's rows
+            # again writes the bytes it wrote, and numpy warns, raises
+            # or calls back as the caller's errstate says
+            lo, hi = stepper._kernel(stepper._work_block(rows), buf, new, dt)
+        ranges.append((lo, hi))
+    stepper.t += dt
+    if not all(math.isfinite(x) for r in ranges for x in r):
+        raise Blowup(f"non-finite value at {stepper._where()}")
+    stepper._refresh_ghosts(new)
+    stepper._parity ^= 1
 
 
 def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
-             snapshot_times=None, *, reaction: bool = True) -> list[ScalarField]:
+             snapshot_times=None) -> list[ScalarField]:
     """March to t_end with the stability step, landing exactly on snapshots."""
     targets = sorted(set(float(s) for s in (snapshot_times or [])) | {float(t_end)})
     if not np.isfinite(targets).all():
@@ -468,10 +461,10 @@ def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
 
     start = time.perf_counter()
     out = []
-    with _Stepper(u0, spec, reaction=reaction) as stepper:
+    with Stepper(u0, spec) as stepper:
         for target in targets:
             while stepper.t < target - 1e-14:
-                stepper.advance(min(stepper.dt_max, target - stepper.t))
+                step(stepper, min(stepper.dt_max, target - stepper.t))
             stepper.t = target
             out.append(stepper.field())
     _log.debug("simulate: grid n = %d, row blocks = %d, workers = %d, "
@@ -502,12 +495,12 @@ def ordering_check(u_low: ScalarField, u_high: ScalarField, spec: ModelSpec,
     violation = float(np.max(u_low.values - u_high.values))
     if violation > 0.0:
         raise ConfigError("u_low must not exceed u_high initially")
-    with _Stepper(u_low, spec) as lo, _Stepper(u_high, spec) as hi:
+    with Stepper(u_low, spec) as lo, Stepper(u_high, spec) as hi:
         t = 0.0
         while t < t_end - 1e-14:
             dt = min(lo.dt_max, t_end - t)
-            lo.advance(dt)
-            hi.advance(dt)
+            step(lo, dt)
+            step(hi, dt)
             t += dt
             violation = max(violation, float(np.max(lo.u - hi.u)))
     return violation <= ORDERING_TOL, violation

@@ -11,7 +11,7 @@ import numpy as np
 
 from .curves import FrontCurve, circle_curve, ellipse_curve
 from .errors import ConfigError
-from .model import ModelSpec, model_from_config
+from .model import ModelSpec, config_object, model_from_config
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,10 @@ def _finite_param(key: str, val) -> float:
 def _shape_from_dict(cfg: dict) -> ShapeSpec:
     """The shape of a CLI string or a JSON config, its params as floats:
     every required param present, every param a finite number, radii and
-    semi-axes positive."""
-    cfg = dict(cfg)
+    semi-axes positive, wave numbers whole."""
+    cfg = config_object(cfg, "shape")
     kind = cfg.pop("kind", None)
-    params = dict(cfg.pop("params", {}))
+    params = config_object(cfg.pop("params", {}), "shape params")
     if cfg:
         raise ConfigError(f"unknown shape fields: {sorted(cfg)}")
     if kind not in _SHAPE_PARAMS:
@@ -72,6 +72,9 @@ def _shape_from_dict(cfg: dict) -> ShapeSpec:
     params = {key: _finite_param(key, val) for key, val in params.items()}
     if small := sorted(key for key in required if params[key] <= 0.0):
         raise ConfigError(f"shape {kind!r} params {small} must be positive")
+    if fractional := sorted(key for key in {"kx", "ky"} & params.keys()
+                            if not params[key].is_integer()):
+        raise ConfigError(f"shape {kind!r} params {fractional} must be whole numbers")
     return ShapeSpec(kind, params)
 
 
@@ -92,7 +95,6 @@ def parse_shape_string(text: str) -> ShapeSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelSpec
-    model_cfg: dict
     grid_n: int
     eps_list: tuple[float, ...]
     shape: ShapeSpec
@@ -131,28 +133,27 @@ class ExperimentConfig:
 
 
 def experiment_from_dict(cfg: dict) -> ExperimentConfig:
-    cfg = dict(cfg)
+    cfg = config_object(cfg, "config")
 
     def take(name, default=None, required=False):
         if required and name not in cfg:
             raise ConfigError(f"config is missing field {name!r}")
         return cfg.pop(name, default)
 
-    model_cfg = take("model", required=True)
-    model = model_from_config(model_cfg)
-    grid = dict(take("grid", {"n": 64}))
+    model = model_from_config(take("model", required=True))
+    grid = config_object(take("grid", {"n": 64}), "grid")
     grid_n = int(grid.pop("n", 64))
     if grid:
         raise ConfigError(f"unknown grid fields: {sorted(grid)}")
     eps_list = tuple(float(e) for e in take("eps", [model.epsilon]))
     shape = _shape_from_dict(take("shape", {"kind": "circle",
                                             "params": {"r": 0.25}}))
-    times = dict(take("times", {"t_end": 0.01}))
+    times = config_object(take("times", {"t_end": 0.01}), "times")
     t_end = float(times.pop("t_end"))
     checkpoints = tuple(float(c) for c in times.pop("checkpoints", [t_end]))
     if times:
         raise ConfigError(f"unknown times fields: {sorted(times)}")
-    tol = dict(take("tol", {}))
+    tol = config_object(take("tol", {}), "tol")
     eta_g = float(tol.pop("eta_g", 0.1))
     eta_p = float(tol.pop("eta_p", 0.1))
     m0_ceiling = float(tol.pop("m0_ceiling", 10.0))
@@ -162,17 +163,16 @@ def experiment_from_dict(cfg: dict) -> ExperimentConfig:
     markers = int(take("markers", 512))
     if cfg:
         raise ConfigError(f"unknown config fields: {sorted(cfg)}")
-    return ExperimentConfig(model=model, model_cfg=model_cfg, grid_n=grid_n,
-                            eps_list=eps_list, shape=shape, t_end=t_end,
-                            checkpoints=checkpoints, eta_g=eta_g, eta_p=eta_p,
-                            m0_ceiling=m0_ceiling, out_dir=out_dir,
-                            markers=markers)
+    return ExperimentConfig(model=model, grid_n=grid_n, eps_list=eps_list,
+                            shape=shape, t_end=t_end, checkpoints=checkpoints,
+                            eta_g=eta_g, eta_p=eta_p, m0_ceiling=m0_ceiling,
+                            out_dir=out_dir, markers=markers)
 
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return config_object(json.load(fh), "config")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

@@ -139,14 +139,17 @@ def check_generation_lemma(spec: ModelSpec, eta: float = 0.1,
         c_curv = max(c_curv, float(ratio.max() / (np.exp(nu * tau) - 1.0)))
 
     # threshold constants: Y_xi > 0 makes Y monotone in xi, so for each eps
-    # read the crossing off a fine grid of candidates xi = alpha +- C eps
+    # read the crossing off a fine grid of candidates xi = alpha +- C eps.
+    # RK4 acts on each start alone, so they and the xi grid share one march.
     c_grid = np.linspace(0.0, LEMMA_CEILING, 2049)
     c_threshold = 0.0
     bounds_ok = True
     for eps in eps_list:
         tau = abs(math.log(eps)) / nu
-        y_hi, _, _ = reaction_trajectory(spec, r.alpha_mid + c_grid * eps, [tau])[0]
-        y_lo, _, _ = reaction_trajectory(spec, r.alpha_mid - c_grid * eps, [tau])[0]
+        starts = np.concatenate([r.alpha_mid + c_grid * eps,
+                                 r.alpha_mid - c_grid * eps, xi])
+        y_end, _, _ = reaction_trajectory(spec, starts, [tau])[0]
+        y_hi, y_lo, y = np.split(y_end, [c_grid.size, 2 * c_grid.size])
         ok_hi = y_hi >= r.alpha_plus - eta
         ok_lo = y_lo <= r.alpha_minus + eta
         if not (ok_hi.any() and ok_lo.any()):
@@ -154,7 +157,6 @@ def check_generation_lemma(spec: ModelSpec, eta: float = 0.1,
             break
         c_threshold = max(c_threshold, float(c_grid[np.argmax(ok_hi)]),
                           float(c_grid[np.argmax(ok_lo)]))
-        y, _, _ = reaction_trajectory(spec, xi, [tau])[0]
         if np.any(y > r.alpha_plus + eta) or np.any(y < r.alpha_minus - eta):
             bounds_ok = False
     finite = all(map(math.isfinite, (c_slope, c_curv, c_threshold)))
@@ -197,11 +199,8 @@ class GenerationReport:
 
 def _initial_field(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
     shape = cfg.shape
-    if shape.kind == "trig":
-        p = shape.params
-        return trig_product_field(grid, p.get("amplitude", 0.5),
-                                  int(p.get("kx", 1)), int(p.get("ky", 1)),
-                                  p.get("offset", 0.0))
+    if shape.kind == "trig":    # its params are trig_product_field's
+        return trig_product_field(grid, **shape.params)
     raise ConfigError(f"shape kind {shape.kind!r} does not define a smooth "
                       "initial field; use 'trig' for generation runs")
 

@@ -54,6 +54,13 @@ def _as_poly(coeffs) -> Polynomial:
     return Polynomial(np.asarray(coeffs, dtype=float))
 
 
+def config_object(value, name: str) -> dict:
+    """A copy of the config value ``name``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def check_unit(e) -> np.ndarray:
     """Return e as a float array of directions along its last axis, raising
     NotUnit for the first one that is off the sphere."""
@@ -155,7 +162,7 @@ def polynomial_reaction(coeffs: Sequence[float]) -> ReactionSpec:
 
 
 def reaction_from_config(cfg: dict) -> ReactionSpec:
-    cfg = dict(cfg)
+    cfg = config_object(cfg, "reaction")
     kind = cfg.pop("kind", None)
     coeffs = cfg.pop("coeffs", [])
     if cfg:
@@ -244,9 +251,9 @@ def polynomial_diffusivity(entry_coeffs: Sequence[Sequence]) -> DiffusivitySpec:
 
 
 def diffusivity_from_config(cfg: dict) -> DiffusivitySpec:
-    cfg = dict(cfg)
+    cfg = config_object(cfg, "diffusivity")
     kind = cfg.pop("kind", None)
-    params = dict(cfg.pop("params", {}))
+    params = config_object(cfg.pop("params", {}), "diffusivity params")
     if cfg:
         raise ConfigError(f"unknown diffusivity fields: {sorted(cfg)}")
 
@@ -327,7 +334,7 @@ class ModelSpec:
 
 
 def model_from_config(cfg: dict) -> ModelSpec:
-    cfg = dict(cfg)
+    cfg = config_object(cfg, "model")
     try:
         reaction = reaction_from_config(cfg.pop("reaction"))
         diffusivity = diffusivity_from_config(cfg.pop("diffusivity"))

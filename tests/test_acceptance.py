@@ -16,6 +16,7 @@ from helpers import constant_d_mu_oracle, random_spd_polynomial_model, random_ta
 from phasefront.acsolver import (
     Grid,
     ScalarField,
+    Stepper,
     mass,
     ordering_check,
     random_smooth_field,
@@ -231,21 +232,22 @@ def test_criterion_09_scheme_properties():
     fld = random_smooth_field(grid, np.random.default_rng(3), amplitude=1.0 + eta)
     lo0, hi0 = -1.0 - eta, 1.0 + eta
     invariant_ok = True
-    cur = fld
-    for _ in range(10000):
-        cur = step(cur, spec, dt)
-        if cur.values.min() < lo0 - 1e-12 or cur.values.max() > hi0 + 1e-12:
-            invariant_ok = False
-            break
+    with Stepper(fld, spec) as stepper:
+        for _ in range(10000):
+            step(stepper, dt)
+            if stepper.u.min() < lo0 - 1e-12 or stepper.u.max() > hi0 + 1e-12:
+                invariant_ok = False
+                break
 
-    cur = random_smooth_field(grid, np.random.default_rng(4), amplitude=0.8)
-    m0 = mass(cur)
+    fld = random_smooth_field(grid, np.random.default_rng(4), amplitude=0.8)
+    m0 = mass(fld)
     mass_ok = True
-    for _ in range(200):
-        cur = step(cur, spec, dt, reaction=False)
-        if abs(mass(cur) - m0) > 1e-12:
-            mass_ok = False
-            break
+    with Stepper(fld, spec, reaction=False) as stepper:
+        for _ in range(200):
+            step(stepper, dt)
+            if abs(mass(stepper.field()) - m0) > 1e-12:
+                mass_ok = False
+                break
 
     rng = np.random.default_rng(5)
     worst_violation = 0.0

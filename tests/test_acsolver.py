@@ -25,6 +25,7 @@ from phasefront import acsolver, errors
 from phasefront.acsolver import (
     Grid,
     ScalarField,
+    Stepper,
     extract_level_set,
     mass,
     ordering_check,
@@ -65,6 +66,14 @@ def _roll_step(u, spec, dt, h):
     return u + dt * rhs
 
 
+def _march(fld, spec, dt, steps, *, reaction=True):
+    """fld after the given number of steps of dt through one Stepper."""
+    with Stepper(fld, spec, reaction=reaction) as stepper:
+        for _ in range(steps):
+            step(stepper, dt)
+        return stepper.field()
+
+
 def test_grid_power_of_two():
     assert Grid(256).h == 1.0 / 256
     assert Grid(64).h * 64 == 1.0
@@ -90,8 +99,9 @@ def test_step_requires_stable_dt():
     g = Grid(64)
     fld = trig_product_field(g)
     with pytest.raises(errors.CFLViolated,
-                       match=r"at t = 0, step 1, eps = 0\.02, grid n = 64"):
-        step(fld, spec, 10 * stability_dt(spec, g))
+                       match=r"at t = 0, step 1, eps = 0\.02, grid n = 64"), \
+            Stepper(fld, spec) as stepper:
+        step(stepper, 10 * stability_dt(spec, g))
 
 
 @pytest.mark.parametrize("diffusivity", [
@@ -105,21 +115,20 @@ def test_step_matches_roll_reference(diffusivity, monkeypatch):
     g = Grid(32)
     fld = random_smooth_field(g, np.random.default_rng(6), amplitude=0.9)
     dt = stability_dt(spec, g)
-    cur, ref = fld, fld.values
-    for _ in range(200):
-        cur = step(cur, spec, dt)
-        ref = _roll_step(ref, spec, dt, g.h)
-    assert np.abs(cur.values - ref).max() <= 1e-13
+    ref = fld.values
+    with Stepper(fld, spec) as one_block:
+        assert len(one_block.rows) == 1
+        for _ in range(200):
+            step(one_block, dt)
+            ref = _roll_step(ref, spec, dt, g.h)
+        assert np.abs(one_block.u - ref).max() <= 1e-13
 
-    # the same march through one stepper split into row blocks, even and
-    # uneven, is byte-equal
-    for blocks, rows in [(2, 16), (3, 10)]:
-        _split(monkeypatch, blocks, rows)
-        with acsolver._Stepper(fld, spec) as split:
-            assert len(split.rows) == blocks
-            for _ in range(200):
-                split.advance(dt)
-            assert split.u.tobytes() == cur.values.tobytes()
+        # the same march split into row blocks, even and uneven, is
+        # byte-equal
+        for blocks, rows in [(2, 16), (3, 10)]:
+            _split(monkeypatch, blocks, rows)
+            split = _march(fld, spec, dt, 200)
+            assert split.values.tobytes() == one_block.u.tobytes()
 
 
 def _split(monkeypatch, blocks, rows):
@@ -193,8 +202,10 @@ def test_split_stepper_keeps_its_checks(monkeypatch):
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         simulate(ScalarField(g, u0), spec, 20 * dt)
     with pytest.raises(errors.CFLViolated,
-                       match=r"at t = 0, step 1, eps = 0\.05, grid n = 16"):
-        step(trig_product_field(g), spec, 10 * dt)
+                       match=r"at t = 0, step 1, eps = 0\.05, grid n = 16"), \
+            Stepper(trig_product_field(g), spec) as stepper:
+        assert len(stepper.workers) == 3
+        step(stepper, 10 * dt)
 
 
 def test_split_simulate_leaves_no_processes_or_descriptors(monkeypatch):
@@ -226,34 +237,32 @@ def test_no_worker_outlives_a_run(monkeypatch):
         simulate(ScalarField(g, u0), spec, 20 * dt)
     assert live_children() == []
 
-    with pytest.raises(errors.CFLViolated), acsolver._Stepper(fld, spec) as stepper:
+    with pytest.raises(errors.CFLViolated), Stepper(fld, spec) as stepper:
         assert len(stepper.workers) == 1
-        stepper.advance(10 * dt)
+        step(stepper, 10 * dt)
     assert live_children() == []
 
     assert ordering_check(fld, ScalarField(g, fld.values + 0.1), spec, 5 * dt)[0]
     assert live_children() == []
 
     # of two live steppers, neither worker holds the other's pipe ends
-    with acsolver._Stepper(fld, spec) as lo, acsolver._Stepper(fld, spec) as hi:
+    with Stepper(fld, spec) as lo, Stepper(fld, spec) as hi:
         for stepper in (lo, hi):
-            stepper.advance(dt)     # a worker that replied has closed the rest
+            step(stepper, dt)       # a worker that replied has closed the rest
             fds = os.listdir(f"/proc/{stepper.workers[0].pid}/fd")
             assert len([fd for fd in fds if int(fd) > 2]) == 2
     assert live_children() == []
 
     # returned fields own their values; a view of a closed stepper's buffer
     # keeps that buffer mapped
-    with acsolver._Stepper(fld, spec) as stepper:
+    with Stepper(fld, spec) as stepper:
         for _ in range(5):
-            stepper.advance(dt)
+            step(stepper, dt)
         view = stepper.u
     del stepper
     assert view.tobytes() == snaps[-1].values.tobytes()
-    cur = fld
-    for _ in range(5):
-        cur = step(cur, spec, dt)
-    assert snaps[-1].values.tobytes() == cur.values.tobytes()
+    monkeypatch.undo()              # the split run equals the one-block march
+    assert snaps[-1].values.tobytes() == _march(fld, spec, dt, 5).values.tobytes()
 
 
 def test_worker_warnings_reach_the_caller(monkeypatch):
@@ -305,7 +314,7 @@ def test_worker_warnings_reach_the_caller(monkeypatch):
     assert underflow_error() == "underflow encountered in multiply"
     # a flag whose mode is 'ignore' steps no block again: the caller runs
     # only its own block
-    caller, real_kernel = os.getpid(), acsolver._Stepper._kernel
+    caller, real_kernel = os.getpid(), Stepper._kernel
     rows_stepped = []
 
     def kernel(self, block, *args):
@@ -313,13 +322,13 @@ def test_worker_warnings_reach_the_caller(monkeypatch):
             rows_stepped.append(block[:2])
         return real_kernel(self, block, *args)
 
-    monkeypatch.setattr(acsolver._Stepper, "_kernel", kernel)
+    monkeypatch.setattr(Stepper, "_kernel", kernel)
     with np.errstate(under="ignore"):
         split = simulate(ScalarField(g, tiny), spec, 2 * dt)[-1]
     assert rows_stepped == [(0, 4), (0, 4)]
-    monkeypatch.setattr(acsolver._Stepper, "_kernel", real_kernel)
+    monkeypatch.undo()              # the real kernel, on one block
     with np.errstate(under="ignore"):
-        one_block = step(step(ScalarField(g, tiny), spec, dt), spec, dt)
+        one_block = _march(ScalarField(g, tiny), spec, dt, 2)
     assert split.values.tobytes() == one_block.values.tobytes()
 
 
@@ -329,12 +338,12 @@ def test_killed_worker_raises_where_it_fired(monkeypatch):
     g = Grid(32)
     dt = stability_dt(spec, g)
     caller = os.getpid()
-    real_advance, real_kernel = acsolver._Stepper.advance, acsolver._Stepper._kernel
+    real_kernel = Stepper._kernel
 
-    def advance(self, dt):
-        if self.step_index == 3:    # the worker cannot reply to step 4
-            os.kill(self.workers[0].pid, signal.SIGSTOP)
-        real_advance(self, dt)
+    def stopping_step(stepper, dt):
+        if stepper.step_index == 3:     # the worker cannot reply to step 4
+            os.kill(stepper.workers[0].pid, signal.SIGSTOP)
+        step(stepper, dt)
 
     def kernel(self, block, buf, new, dt):
         # the caller's block runs once the workers have their command, so
@@ -343,47 +352,45 @@ def test_killed_worker_raises_where_it_fired(monkeypatch):
             os.kill(self.workers[0].pid, signal.SIGKILL)
         return real_kernel(self, block, buf, new, dt)
 
-    monkeypatch.setattr(acsolver._Stepper, "advance", advance)
-    monkeypatch.setattr(acsolver._Stepper, "_kernel", kernel)
+    # simulate looks step up by its module name
+    monkeypatch.setattr(acsolver, "step", stopping_step)
+    monkeypatch.setattr(Stepper, "_kernel", kernel)
     with pytest.raises(errors.WorkerLost,
                        match=r"exited at t = \S+, step 4, eps = 0\.05, grid n = 32"):
         simulate(trig_product_field(g), spec, 20 * dt)
-    monkeypatch.setattr(acsolver._Stepper, "advance", real_advance)
-    monkeypatch.setattr(acsolver._Stepper, "_kernel", real_kernel)
+    monkeypatch.setattr(acsolver, "step", step)
+    monkeypatch.setattr(Stepper, "_kernel", real_kernel)
 
     # a worker that died between steps fails the next command
-    with acsolver._Stepper(trig_product_field(g), spec) as stepper:
-        stepper.advance(dt)
+    with Stepper(trig_product_field(g), spec) as stepper:
+        step(stepper, dt)
         pid = stepper.workers[0].pid
         os.kill(pid, signal.SIGKILL)
         while process_alive(pid):
             time.sleep(0.01)
         with pytest.raises(errors.WorkerLost, match=r"step 2, eps = 0\.05"):
-            stepper.advance(dt)
+            step(stepper, dt)
 
 
-def _simulate_split_grid():
-    spec = cubic_identity_model(0.05)
-    g = Grid(32)
-    fld = random_smooth_field(g, np.random.default_rng(7), amplitude=0.9)
-    dt = stability_dt(spec, g)
-    split = simulate(fld, spec, 20 * dt)[-1]
-    cur = fld
-    for _ in range(20):
-        cur = step(cur, spec, dt)
-    if split.values.tobytes() != cur.values.tobytes():
+def _simulate_split_grid(fld, spec, t_end, expected):
+    if simulate(fld, spec, t_end)[-1].values.tobytes() != expected:
         raise SystemExit(1)
 
 
 def test_forked_child_runs_its_own_split(monkeypatch):
-    _split(monkeypatch, 2, 16)
     spec = cubic_identity_model(0.05)
     g = Grid(32)
     dt = stability_dt(spec, g)
     fld = trig_product_field(g)
-    with acsolver._Stepper(fld, spec) as stepper:
-        stepper.advance(dt)
-        child = multiprocessing.get_context("fork").Process(target=_simulate_split_grid)
+    other = random_smooth_field(g, np.random.default_rng(7), amplitude=0.9)
+    # the one-block marches the split runs must equal
+    expected = _march(fld, spec, dt, 2).values.tobytes()
+    other_expected = _march(other, spec, dt, 20).values.tobytes()
+    _split(monkeypatch, 2, 16)
+    with Stepper(fld, spec) as stepper:
+        step(stepper, dt)
+        child = multiprocessing.get_context("fork").Process(
+            target=_simulate_split_grid, args=(other, spec, 20 * dt, other_expected))
         child.start()
         child.join(timeout=30)
         alive = child.is_alive()
@@ -391,8 +398,8 @@ def test_forked_child_runs_its_own_split(monkeypatch):
             child.kill()
             child.join()
         assert not alive and child.exitcode == 0
-        stepper.advance(dt)
-        assert stepper.u.tobytes() == step(step(fld, spec, dt), spec, dt).values.tobytes()
+        step(stepper, dt)
+        assert stepper.u.tobytes() == expected
 
 
 _ENDLESS_RUN = """
@@ -476,12 +483,9 @@ def test_constant_equilibria_are_fixed_points():
     g = Grid(64)
     dt = stability_dt(spec, g)
     hi = ScalarField(g, np.full((64, 64), 1.0))
-    assert np.abs(step(hi, spec, dt).values - 1.0).max() == 0.0
+    assert np.abs(_march(hi, spec, dt, 1).values - 1.0).max() == 0.0
     mid = ScalarField(g, np.zeros((64, 64)))
-    cur = mid
-    for _ in range(100):
-        cur = step(cur, spec, dt)
-    assert np.abs(cur.values).max() == 0.0
+    assert np.abs(_march(mid, spec, dt, 100).values).max() == 0.0
 
 
 def test_flat_interface_quasi_stationary():
@@ -570,11 +574,11 @@ def test_mass_conserved_without_reaction():
     g = Grid(64)
     fld = random_smooth_field(g, np.random.default_rng(0), amplitude=0.8)
     m0 = mass(fld)
-    cur = fld
     dt = stability_dt(spec, g)
-    for _ in range(200):
-        cur = step(cur, spec, dt, reaction=False)
-        assert abs(mass(cur) - m0) <= 1e-12
+    with Stepper(fld, spec, reaction=False) as stepper:
+        for _ in range(200):
+            step(stepper, dt)
+            assert abs(mass(stepper.field()) - m0) <= 1e-12
 
 
 def test_mass_conserved_with_cross_terms():
@@ -584,11 +588,8 @@ def test_mass_conserved_with_cross_terms():
     g = Grid(32)
     fld = random_smooth_field(g, np.random.default_rng(1), amplitude=0.7)
     m0 = mass(fld)
-    cur = fld
     dt = stability_dt(spec, g)
-    for _ in range(100):
-        cur = step(cur, spec, dt, reaction=False)
-    assert abs(mass(cur) - m0) <= 1e-12
+    assert abs(mass(_march(fld, spec, dt, 100, reaction=False)) - m0) <= 1e-12
 
 
 def test_xy_symmetry_preserved():
@@ -598,10 +599,7 @@ def test_xy_symmetry_preserved():
     u0 = ScalarField(g, 0.5 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
                      + 0.2 * np.cos(2 * np.pi * (x + y)))
     assert np.abs(u0.values - u0.values.T).max() == 0.0
-    cur = u0
-    dt = stability_dt(spec, g)
-    for _ in range(200):
-        cur = step(cur, spec, dt)
+    cur = _march(u0, spec, stability_dt(spec, g), 200)
     assert np.abs(cur.values - cur.values.T).max() <= 1e-13
 
 
@@ -611,12 +609,12 @@ def test_invariant_region():
     eta = 0.25
     fld = random_smooth_field(g, np.random.default_rng(3), amplitude=1.0 + eta)
     assert fld.values.max() <= 1.0 + eta and fld.values.min() >= -1.0 - eta
-    cur = fld
     dt = stability_dt(spec, g)
-    for _ in range(2000):
-        cur = step(cur, spec, dt)
-        assert cur.values.max() <= 1.0 + eta + 1e-12
-        assert cur.values.min() >= -1.0 - eta - 1e-12
+    with Stepper(fld, spec) as stepper:
+        for _ in range(2000):
+            step(stepper, dt)
+            assert stepper.u.max() <= 1.0 + eta + 1e-12
+            assert stepper.u.min() >= -1.0 - eta - 1e-12
 
 
 def test_ordering_identical_and_shifted():

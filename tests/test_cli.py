@@ -69,6 +69,49 @@ def test_malformed_shape_exits_3(cubic_cfg, tmp_path, capsys, shape):
     assert not out.exists()
 
 
+EXPERIMENT = {"model": CUBIC, "grid": {"n": 64}, "eps": [0.08],
+              "shape": {"kind": "circle", "params": {"r": 0.25}},
+              "times": {"t_end": 0.001, "checkpoints": [0.001]},
+              "tol": {"eta_g": 0.1, "eta_p": 0.1, "m0_ceiling": 10}}
+
+
+@pytest.mark.parametrize("path, name", [
+    (("model",), "model"),
+    (("model", "reaction"), "reaction"),
+    (("model", "diffusivity"), "diffusivity"),
+    (("model", "diffusivity", "params"), "diffusivity params"),
+    (("grid",), "grid"),
+    (("times",), "times"),
+    (("tol",), "tol"),
+    (("shape",), "shape"),
+    (("shape", "params"), "shape params"),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_null_config_object_exits_3(tmp_path, capsys, path, name):
+    cfg = json.loads(json.dumps(EXPERIMENT))
+    owner = cfg
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = None
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    assert cli_main(["converge", "--config", str(tmp_path / "exp.json"),
+                     "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == \
+        f"config error: {name} must be a JSON object, got None\n"
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("kx, code", [(1.5, 3), (2, 0)])
+def test_trig_wave_numbers_must_be_whole(tmp_path, capsys, kx, code):
+    cfg = {**EXPERIMENT, "shape": {"kind": "trig",
+                                   "params": {"amplitude": 0.5, "kx": kx}},
+           "times": {"t_end": 0.005}}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    assert cli_main(["generation", "--config", str(tmp_path / "exp.json")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "config error: shape 'trig' params ['kx'] must be whole numbers\n"
+
+
 def test_profile_csv(cubic_cfg, tmp_path):
     out = tmp_path / "profile.csv"
     assert cli_main(["profile", "--config", cubic_cfg, "--e", "0,1",

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from helpers import propagation_spec
 
 from phasefront import errors
 from phasefront.acsolver import Grid, read_field_dump, trig_product_field, write_field_dump
@@ -11,6 +14,7 @@ from phasefront.config import (
 )
 from phasefront.curves import circle_curve
 from phasefront.harness import (
+    _initial_field,
     check_generation_lemma,
     generation_experiment,
     propagation_sweep,
@@ -137,6 +141,13 @@ def test_parse_shape_string():
             _experiment(shape={"kind": "circle", "params": params})
     with pytest.raises(errors.ConfigError, match="shape 'trig' has unknown"):
         _experiment(shape={"kind": "trig", "params": {"amplitud": 0.5}})
+    # wave numbers are whole, and used as given
+    with pytest.raises(errors.ConfigError, match=r"\['kx', 'ky'\] must be whole"):
+        _experiment(shape={"kind": "trig", "params": {"kx": 1.5, "ky": 0.5}})
+    cfg = _experiment(shape={"kind": "trig", "params": {"kx": 2, "ky": 3.0}})
+    g = Grid(16)
+    assert _initial_field(cfg, g).values.tobytes() == \
+        trig_product_field(g, 0.5, 2, 3).values.tobytes()
 
 
 def test_generation_experiment_trivial_fields():
@@ -159,6 +170,16 @@ def test_generation_experiment_mini():
     row = rep.rows[0]
     assert row.bounds_ok and row.m_hat <= 10.0
     assert row.t_eps == pytest.approx(t_epsilon(cfg.model, 0.08), rel=1e-12)
+
+
+def test_generation_with_nonlinear_anisotropic_diffusivity():
+    # the generation theorem covers nonlinear anisotropic D: the propagation
+    # model D(s) = A + B s^2; the 256^2 grid runs split into row blocks
+    cfg = replace(_experiment(eps=[0.04, 0.028]), model=propagation_spec(0.04))
+    rep = generation_experiment(cfg)
+    assert [row.grid_n for row in rep.rows] == [128, 256]
+    assert rep.passed
+    assert all(row.bounds_ok and row.m_hat <= 10.0 for row in rep.rows)
 
 
 def test_generation_ceiling_exceeded():
