@@ -12,15 +12,22 @@ polynomial, whose face value is a scalar factor. A ``Stepper`` holds one
 march, with the stability bound and the Horner coefficients computed once and
 the field in preallocated buffers, and ``step(stepper, dt)`` takes its every
 CFL-checked step, in ``simulate``, ``ordering_check`` and any other march.
+The kernel writes u + dt/h^2 (flux divergence) + cross + dt/eps^2 f(u) with
+the scalings carried by the coefficients: dt/h^2 scales the divergence once,
+the D12 coefficients carry dt/(4h^2), those of f carry dt/eps^2, and those of
+D11 and D22 are taken at the sum of the two face values, c_k/2^k, which is
+exact.
 The stepper splits the grid into row blocks, one per usable CPU but none
 under ROWS_PER_BLOCK rows, and steps them with one kernel: the caller runs
 the first block and a forked worker process each other one, on field buffers
 in shared memory. Threads would not do: the kernel's numpy operations on a
 block hold the interpreter lock for much of their time, so two threads
-stepped a 256^2 grid no faster than one. Every cell sees the same arithmetic
-however the rows are split. A worker only records numpy's error flags; the
-caller steps a flagged block again under its own ``np.errstate``, so numpy
-acts on the errors as in the one-block march.
+stepped a 256^2 grid no faster than one. Each block is stepped in chunks of
+at most CHUNK_CELLS cells, whose work arrays stay in the core's L2 cache.
+Every cell sees the same arithmetic however the rows are split or chunked. A
+worker only records numpy's error flags; the caller steps a flagged block
+again under its own ``np.errstate``, so numpy acts on the errors as in the
+one-block march.
 """
 
 from __future__ import annotations
@@ -50,6 +57,14 @@ CFL_REACTION_SAFETY = 0.2
 # machine a 128^2 step split across two processes took 0.185 ms against
 # 0.155 ms whole, the difference being the pipe round trip.
 ROWS_PER_BLOCK = 128
+# A row block is stepped in chunks of at most this many cells (256 KiB per
+# work array), so that a chunk's five arrays (its field rows, its new rows
+# and three work arrays) stay in a 2 MiB L2 cache instead of streaming from
+# L3. On a 2-core machine a 512^2 step split in two blocks took 20-31% less
+# time in 64-row chunks than unchunked and 7-9% less than in 128-row ones,
+# while 64-row chunks stepped a split 256^2 grid 17-24% slower than one
+# 128-row chunk per block, which this budget keeps.
+CHUNK_CELLS = 2**15
 ORDERING_TOL = 1e-8         # largest u_low - u_high ordering_check accepts
 RANDOM_MAX_MODE = 3         # highest wave number of random_smooth_field
 
@@ -114,10 +129,17 @@ def _descending(poly) -> np.ndarray:
 
 
 def _flux_factor(poly):
-    """Horner coefficients of a diagonal entry of D, or None when the entry
-    is the constant 1: a flux times 1.0 is the same flux, bit for bit."""
+    """Horner coefficients of a diagonal entry of D as a polynomial in the
+    sum of the two cell values at a face, or None when the entry is the
+    constant 1: a flux times 1.0 is the same flux, bit for bit.
+
+    The degree-k coefficient is c_k/2^k. Scaling by a power of two is exact,
+    so Horner on the sum gives the bits Horner on the mean gave.
+    """
     coefs = _descending(poly)
-    return None if coefs.size == 1 and coefs[0] == 1.0 else coefs
+    if coefs.size == 1 and coefs[0] == 1.0:
+        return None
+    return coefs * 0.5 ** np.arange(coefs.size - 1, -1, -1)
 
 
 def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray):
@@ -140,11 +162,19 @@ def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray):
 def _periodic_cols(op, v: np.ndarray, p: int, q: int,
                    out: np.ndarray) -> np.ndarray:
     """out[:, j] = op(v[:, j + p], v[:, j + q]) with periodic wrap in j, for
-    offsets p, q in {-1, 0, 1}: the interior is one slice operation and the
-    at most two wrapped columns are done one by one."""
+    offsets p, q in {-1, 0, 1}, on C-contiguous v and out of one shape that
+    share no memory.
+
+    One operation over the flattened rows does every column, the at most two
+    wrapped ones with a neighbour row's values, and those are then done
+    again one by one. A strided 2-D slice operation instead took twice as
+    long and allocated numpy's iterator buffers on every call.
+    """
     n = v.shape[1]
     lo, hi = max(0, -p, -q), max(0, p, q)
-    op(v[:, lo + p:n - hi + p], v[:, lo + q:n - hi + q], out=out[:, lo:n - hi])
+    flat, end = np.reshape(v, -1, copy=False), v.size - hi
+    op(flat[lo + p:end + p], flat[lo + q:end + q],
+       out=np.reshape(out, -1, copy=False)[lo:end])
     for j in (*range(lo), *range(n - hi, n)):
         op(v[:, (j + p) % n], v[:, (j + q) % n], out=out[:, j])
     return out
@@ -229,19 +259,22 @@ class Stepper:
     buffers; ``step(stepper, dt)`` takes each step.
 
     The stability bound dt_max and the Horner coefficients are computed
-    once. The field lives in an (n+2) x n buffer whose first and last rows
-    are ghost copies of rows n-1 and 0, so every row block reads its one-row
-    halo as a plain slice. One kernel steps a block of rows into the second
-    buffer. The caller steps the first block. Each other block has a worker
-    process, forked when the stepper is built, that shares the two field
-    buffers through one anonymous shared mapping and keeps its own work
-    arrays. Per step the caller sends every worker one command, reads one
-    reply, steps again any block whose error flags meet a mode it does not
-    ignore, and then refreshes the ghost rows and swaps the buffers. A grid
-    under 2 * ROWS_PER_BLOCK rows and a system without os.fork run as one
-    block on the caller. Closing the stepper, or leaving its ``with`` block,
-    ends its workers. ``u`` views the field, ``field()`` copies it out at
-    time ``t`` and ``step_index`` counts the steps.
+    once; the coefficients scaled by dt are derived again, in each process,
+    only when dt changes, as at the landing step before a snapshot. The
+    field lives in an (n+2) x n buffer whose first and last rows are ghost
+    copies of rows n-1 and 0, so every row block reads its one-row halo as a
+    plain slice. One kernel steps a block of rows into the second buffer,
+    ``chunk_rows`` rows at a time through one set of work arrays. The caller
+    steps the first block. Each other block has a worker process, forked
+    when the stepper is built, that shares the two field buffers through one
+    anonymous shared mapping and keeps its own work arrays. Per step the
+    caller sends every worker one command, reads one reply, steps again any
+    block whose error flags meet a mode it does not ignore, and then
+    refreshes the ghost rows and swaps the buffers. A grid under
+    2 * ROWS_PER_BLOCK rows and a system without os.fork run as one block on
+    the caller. Closing the stepper, or leaving its ``with`` block, ends its
+    workers. ``u`` views the field, ``field()`` copies it out at time ``t``
+    and ``step_index`` counts the steps.
     """
 
     def __init__(self, fld: ScalarField, spec: ModelSpec, *, reaction: bool = True):
@@ -256,10 +289,13 @@ class Stepper:
         self.d12 = d12 if d12.size > 1 or d12[0] != 0.0 else None
         self.f = _descending(spec.reaction.poly) if reaction else None
         self.inv_h2 = 1.0 / (grid.h * grid.h)
+        self._dt = None         # the dt self._scaled_coefs were derived for
         n = grid.n
         k = _block_count(n) if hasattr(os, "fork") else 1
         edges = [n * i // k for i in range(k + 1)]
         self.rows = list(zip(edges[:-1], edges[1:]))
+        self.chunk_rows = min(max(1, CHUNK_CELLS // n),
+                              max(r1 - r0 for r0, r1 in self.rows))
         shape = (2, n + 2, n)
         if k > 1:   # anonymous and MAP_SHARED: the workers see every write
             self._pair = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
@@ -312,20 +348,51 @@ class Stepper:
         return ScalarField(self.grid, self.u.copy(), self.t)
 
     def _work_block(self, rows) -> tuple:
-        """The kernel's block: rows r0..r1-1 and three work arrays of those
-        rows plus the halo."""
+        """The kernel's block: rows r0..r1-1 and three work arrays of one
+        chunk's rows plus the halo."""
         r0, r1 = rows
-        return (r0, r1, *(np.empty((r1 - r0 + 2, self.grid.n)) for _ in range(3)))
+        shape = (min(self.chunk_rows, r1 - r0) + 2, self.grid.n)
+        return (r0, r1, *(np.empty(shape) for _ in range(3)))
+
+    def _scaled(self, dt: float) -> tuple:
+        """alpha = dt/h^2, the D12 coefficients times alpha/4 and the f
+        coefficients times dt/eps^2, derived again only when dt changes."""
+        if dt != self._dt:
+            alpha = dt * self.inv_h2
+            self._scaled_coefs = (
+                alpha,
+                None if self.d12 is None else self.d12 * (0.25 * alpha),
+                None if self.f is None else self.f * (dt / self.eps**2))
+            self._dt = dt
+        return self._scaled_coefs
 
     def _kernel(self, block, buf: np.ndarray, new: np.ndarray, dt: float):
-        """Step rows r0..r1-1 of the field in buf into the same rows of new
-        and return their min and max.
+        """Step rows r0..r1-1 of the field in buf into the same rows of new,
+        chunk by chunk, and return their min and max. np.minimum and
+        np.maximum fold the chunks' extremes, carrying a NaN through where
+        the builtins would drop it."""
+        r0, r1 = block[:2]
+        coefs = self._scaled(dt)
+        rows = self.chunk_rows
+        lo = hi = None
+        for c0 in range(r0, r1, rows):
+            rhs = self._step_rows(block, c0, min(c0 + rows, r1), buf, new, *coefs)
+            lo = rhs.min() if lo is None else np.minimum(lo, rhs.min())
+            hi = rhs.max() if hi is None else np.maximum(hi, rhs.max())
+        return lo, hi
 
-        v holds the block's rows with one halo row on each side, so v[k] is
-        field row r0 - 1 + k; the axis-0 flux is taken on the m + 1 faces
-        between them and the cross term's x-derivative on all m + 2 rows.
+    def _step_rows(self, block, r0: int, r1: int, buf: np.ndarray,
+                   new: np.ndarray, alpha: float, d12, f) -> np.ndarray:
+        """Write u + alpha (flux divergence) + cross + dt/eps^2 f(u) for rows
+        r0..r1-1 of the field in buf into the same rows of new, with the
+        block's work arrays, and return that view. d12 and f are the
+        dt-scaled coefficients.
+
+        v holds the rows with one halo row on each side, so v[k] is field
+        row r0 - 1 + k; the axis-0 flux is taken on the m + 1 faces between
+        them and the cross term's x-derivative on all m + 2 rows.
         """
-        r0, r1, a, b, c = block
+        a, b, c = block[2:]
         m = r1 - r0
         v = buf[r0:r1 + 2]
         mid = v[1:-1]
@@ -333,10 +400,9 @@ class Stepper:
 
         flux = np.subtract(v[1:], v[:-1], out=a[:m + 1])
         if self.d11 is not None:
-            face = b[:m + 1]
+            face = b[:m + 1]                        # twice the face value
             if self.d11.size > 1:
                 np.add(v[:-1], v[1:], out=face)
-                face *= 0.5
             flux *= _horner(self.d11, face, c[:m + 1])
         np.subtract(flux[1:], flux[:-1], out=rhs)
 
@@ -345,30 +411,23 @@ class Stepper:
             face = b[:m]
             if self.d22.size > 1:
                 _periodic_cols(np.add, mid, 0, 1, face)
-                face *= 0.5
             flux *= _horner(self.d22, face, c[:m])
-        rhs += flux
-        rhs[:, 1:] -= flux[:, :-1]
-        rhs[:, :1] -= flux[:, -1:]
-        rhs *= self.inv_h2
+        rhs += _periodic_cols(np.subtract, flux, 0, -1, b[:m])
+        rhs *= alpha
 
-        if self.d12 is not None:
-            d12 = _horner(self.d12, v, c)
-            gx = _periodic_cols(np.subtract, v, 1, -1, b)
-            gx *= d12                               # gx = D12(u) * 2h u_y
+        if d12 is not None:
+            d12 = _horner(d12, v, c[:m + 2])        # alpha/4 D12(u)
+            gx = _periodic_cols(np.subtract, v, 1, -1, b[:m + 2])
+            gx *= d12                               # gx = alpha/4 D12(u) 2h u_y
             cross = np.subtract(gx[2:], gx[:-2], out=a[:m])
             gy = np.subtract(v[2:], v[:-2], out=b[:m])
-            gy *= d12[1:-1] if np.ndim(d12) else d12  # gy = D12(u) * 2h u_x
+            gy *= d12[1:-1] if np.ndim(d12) else d12  # gy = alpha/4 D12(u) 2h u_x
             cross += _periodic_cols(np.subtract, gy, 1, -1, c[:m])
-            cross *= 0.25 * self.inv_h2
             rhs += cross
-        if self.f is not None:
-            react = _horner(self.f, mid, c[:m])
-            react /= self.eps**2
-            rhs += react
-        rhs *= dt
+        if f is not None:
+            rhs += _horner(f, mid, c[:m])
         np.add(mid, rhs, out=rhs)
-        return rhs.min(), rhs.max()
+        return rhs
 
     def _serve(self, rows, cmd: int, reply: int) -> None:
         """A worker's loop: step its block on every command until the
@@ -467,9 +526,11 @@ def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
                 step(stepper, min(stepper.dt_max, target - stepper.t))
             stepper.t = target
             out.append(stepper.field())
-    _log.debug("simulate: grid n = %d, row blocks = %d, workers = %d, "
-               "steps = %d, dt_max = %g, reply wait = %.3f s, wall = %.3f s",
-               u0.grid.n, len(stepper.rows), len(stepper.rows) - 1,
+    _log.debug("simulate: grid n = %d, row blocks = %d, rows per chunk = %d, "
+               "workers = %d, steps = %d, dt_max = %g, reply wait = %.3f s, "
+               "wall = %.3f s",
+               u0.grid.n, len(stepper.rows), stepper.chunk_rows,
+               len(stepper.rows) - 1,
                stepper.step_index, stepper.dt_max, stepper.reply_wait,
                time.perf_counter() - start)
     return out

@@ -11,7 +11,13 @@ import numpy as np
 
 from .curves import FrontCurve, circle_curve, ellipse_curve
 from .errors import ConfigError
-from .model import ModelSpec, config_object, model_from_config
+from .model import (
+    ModelSpec,
+    config_number,
+    config_numbers,
+    config_object,
+    model_from_config,
+)
 
 
 @dataclass(frozen=True)
@@ -142,25 +148,28 @@ def experiment_from_dict(cfg: dict) -> ExperimentConfig:
 
     model = model_from_config(take("model", required=True))
     grid = config_object(take("grid", {"n": 64}), "grid")
-    grid_n = int(grid.pop("n", 64))
+    grid_n = config_number(grid.pop("n", 64), "grid.n", whole=True)
     if grid:
         raise ConfigError(f"unknown grid fields: {sorted(grid)}")
-    eps_list = tuple(float(e) for e in take("eps", [model.epsilon]))
+    eps_list = config_numbers(take("eps", [model.epsilon]), "eps")
     shape = _shape_from_dict(take("shape", {"kind": "circle",
                                             "params": {"r": 0.25}}))
     times = config_object(take("times", {"t_end": 0.01}), "times")
-    t_end = float(times.pop("t_end"))
-    checkpoints = tuple(float(c) for c in times.pop("checkpoints", [t_end]))
+    if "t_end" not in times:
+        raise ConfigError("times is missing field 't_end'")
+    t_end = config_number(times.pop("t_end"), "times.t_end")
+    checkpoints = config_numbers(times.pop("checkpoints", [t_end]),
+                                 "times.checkpoints")
     if times:
         raise ConfigError(f"unknown times fields: {sorted(times)}")
     tol = config_object(take("tol", {}), "tol")
-    eta_g = float(tol.pop("eta_g", 0.1))
-    eta_p = float(tol.pop("eta_p", 0.1))
-    m0_ceiling = float(tol.pop("m0_ceiling", 10.0))
+    eta_g = config_number(tol.pop("eta_g", 0.1), "tol.eta_g")
+    eta_p = config_number(tol.pop("eta_p", 0.1), "tol.eta_p")
+    m0_ceiling = config_number(tol.pop("m0_ceiling", 10.0), "tol.m0_ceiling")
     if tol:
         raise ConfigError(f"unknown tol fields: {sorted(tol)}")
     out_dir = take("out", None)
-    markers = int(take("markers", 512))
+    markers = config_number(take("markers", 512), "markers", whole=True)
     if cfg:
         raise ConfigError(f"unknown config fields: {sorted(cfg)}")
     return ExperimentConfig(model=model, grid_n=grid_n, eps_list=eps_list,

@@ -23,6 +23,8 @@ and applies the W map to D's tensor for the equipotential residuals.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,6 +61,28 @@ def config_object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
     return dict(value)
+
+
+def config_number(value, name: str, *, whole: bool = False):
+    """The config value ``name``, which must be a finite number (not a
+    bool), as a float, or as an int when ``whole`` asks for a whole one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if not whole:
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def config_numbers(value, name: str) -> tuple[float, ...]:
+    """The config value ``name``, which must be a list of finite numbers,
+    as floats."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(config_number(x, f"{name}[{i}]") for i, x in enumerate(value))
 
 
 def check_unit(e) -> np.ndarray:
@@ -164,7 +188,7 @@ def polynomial_reaction(coeffs: Sequence[float]) -> ReactionSpec:
 def reaction_from_config(cfg: dict) -> ReactionSpec:
     cfg = config_object(cfg, "reaction")
     kind = cfg.pop("kind", None)
-    coeffs = cfg.pop("coeffs", [])
+    coeffs = config_numbers(cfg.pop("coeffs", []), "reaction coeffs")
     if cfg:
         raise ConfigError(f"unknown reaction fields: {sorted(cfg)}")
     if kind == "cubic":
@@ -263,12 +287,14 @@ def diffusivity_from_config(cfg: dict) -> DiffusivitySpec:
         return params.pop(name, default)
 
     if kind == "identity":
-        spec = identity_diffusivity(int(take("dim", 2)))
+        spec = identity_diffusivity(
+            config_number(take("dim", 2), "diffusivity dim", whole=True))
     elif kind == "diag":
         spec = diagonal_diffusivity(take("entries", required=True))
     elif kind == "rotation-conjugated-diag":
-        spec = rotated_diagonal_diffusivity(float(take("angle", required=True)),
-                                            take("entries", required=True))
+        spec = rotated_diagonal_diffusivity(
+            config_number(take("angle", required=True), "diffusivity angle"),
+            take("entries", required=True))
     elif kind == "poly":
         spec = polynomial_diffusivity(take("entries", required=True))
     else:
@@ -338,7 +364,7 @@ def model_from_config(cfg: dict) -> ModelSpec:
     try:
         reaction = reaction_from_config(cfg.pop("reaction"))
         diffusivity = diffusivity_from_config(cfg.pop("diffusivity"))
-        epsilon = float(cfg.pop("epsilon"))
+        epsilon = config_number(cfg.pop("epsilon"), "model epsilon")
     except KeyError as exc:
         raise ConfigError(f"model config missing field {exc}") from exc
     if cfg:

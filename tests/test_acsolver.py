@@ -104,11 +104,14 @@ def test_step_requires_stable_dt():
         step(stepper, 10 * stability_dt(spec, g))
 
 
+POLYNOMIAL_CROSS = polynomial_diffusivity([[[1.0, 0.0, 0.2], [0.3, 0.1, 0.05]],
+                                           [[0.3, 0.1, 0.05], [1.5, 0.0, -0.1]]])
+
+
 @pytest.mark.parametrize("diffusivity", [
     diagonal_diffusivity([1.0, 1.0]),
     rotated_diagonal_diffusivity(0.4, [1.0, 2.5]),
-    polynomial_diffusivity([[[1.0, 0.0, 0.2], [0.3, 0.1, 0.05]],
-                            [[0.3, 0.1, 0.05], [1.5, 0.0, -0.1]]]),
+    POLYNOMIAL_CROSS,
 ], ids=["identity", "rotated-constant", "polynomial-cross"])
 def test_step_matches_roll_reference(diffusivity, monkeypatch):
     spec = ModelSpec(cubic_reaction(), diffusivity, 0.05)
@@ -123,19 +126,45 @@ def test_step_matches_roll_reference(diffusivity, monkeypatch):
             ref = _roll_step(ref, spec, dt, g.h)
         assert np.abs(one_block.u - ref).max() <= 1e-13
 
-        # the same march split into row blocks, even and uneven, is
-        # byte-equal
-        for blocks, rows in [(2, 16), (3, 10)]:
-            _split(monkeypatch, blocks, rows)
+        # the same march split into row blocks, even and uneven, or stepped
+        # in uneven chunks of 7 rows (7, 7, 7, 7, 4 of one block; 7, 3 and
+        # 7, 4 of three), is byte-equal
+        for blocks, rows, chunk_rows in [(2, 16, 32), (3, 10, 32), (1, 32, 7),
+                                         (2, 16, 7), (3, 10, 7)]:
+            _split(monkeypatch, blocks, rows, chunk_rows * g.n)
             split = _march(fld, spec, dt, 200)
             assert split.values.tobytes() == one_block.u.tobytes()
 
 
-def _split(monkeypatch, blocks, rows):
+def _split(monkeypatch, blocks, rows, chunk_cells=acsolver.CHUNK_CELLS):
     """Make every grid of at least blocks * rows rows run as that many row
-    blocks, whatever the machine's CPU count."""
+    blocks, whatever the machine's CPU count, each stepped in chunks of at
+    most chunk_cells cells."""
     monkeypatch.setattr(acsolver, "_usable_cpus", lambda: blocks)
     monkeypatch.setattr(acsolver, "ROWS_PER_BLOCK", rows)
+    monkeypatch.setattr(acsolver, "CHUNK_CELLS", chunk_cells)
+
+
+def test_alternating_dt_matches_roll_reference(monkeypatch):
+    # the landing step before a snapshot is shorter: each process derives
+    # the dt-scaled coefficients again whenever dt changes
+    spec = ModelSpec(cubic_reaction(), POLYNOMIAL_CROSS, 0.05)
+    g = Grid(32)
+    fld = random_smooth_field(g, np.random.default_rng(8), amplitude=0.9)
+    dt = stability_dt(spec, g)
+    dts = [dt, dt / 3, dt] * 40
+    ref = fld.values
+    with Stepper(fld, spec) as one_block:
+        for d in dts:
+            step(one_block, d)
+            ref = _roll_step(ref, spec, d, g.h)
+        assert np.abs(one_block.u - ref).max() <= 1e-13
+        _split(monkeypatch, 2, 16, 7 * g.n)
+        with Stepper(fld, spec) as split:
+            assert len(split.workers) == 1 and split.chunk_rows == 7
+            for d in dts:
+                step(split, d)
+            assert split.u.tobytes() == one_block.u.tobytes()
 
 
 def test_simulate_computes_stability_bound_once(monkeypatch):
@@ -178,6 +207,17 @@ def test_blowup_names_where_it_fired():
     assert float(m.group(1)) == pytest.approx(first_bad * dt, rel=1e-5)
     assert float(m.group(3)) == 0.05
     assert int(m.group(4)) == 16
+
+
+def test_nan_in_any_chunk_raises_blowup(monkeypatch):
+    _split(monkeypatch, 1, 16, 3 * 16)
+    spec = cubic_identity_model(0.05)
+    g = Grid(16)
+    u0 = np.zeros((16, 16))
+    u0[10, 5] = np.nan          # rows 9-11 turn NaN: the fourth of six chunks
+    with Stepper(ScalarField(g, u0), spec) as stepper, \
+            pytest.raises(errors.Blowup, match="step 1,"):
+        step(stepper, stability_dt(spec, g))
 
 
 def test_split_stepper_keeps_its_checks(monkeypatch):
@@ -466,19 +506,22 @@ def test_ctrl_c_ends_the_worker_quietly():
     assert not process_alive(workers[0])
 
 
-def test_simulate_logs_one_record_per_run(caplog):
+def test_simulate_logs_one_record_per_run(caplog, monkeypatch):
     spec = cubic_identity_model(0.05)
     g = Grid(16)
     t_end = 10 * stability_dt(spec, g)
     with caplog.at_level(logging.DEBUG, logger="phasefront.acsolver"):
         simulate(trig_product_field(g), spec, t_end, snapshot_times=[0.5 * t_end])
-    [record] = caplog.records
-    assert re.fullmatch(r"simulate: grid n = 16, row blocks = 1, workers = 0, "
-                        r"steps = 10, dt_max = \S+, reply wait = 0\.000 s, "
-                        r"wall = \S+ s", record.getMessage())
+        monkeypatch.setattr(acsolver, "CHUNK_CELLS", 5 * 16)
+        simulate(trig_product_field(g), spec, t_end)
+    first, chunked = (r.getMessage() for r in caplog.records)
+    assert re.fullmatch(r"simulate: grid n = 16, row blocks = 1, "
+                        r"rows per chunk = 16, workers = 0, steps = 10, "
+                        r"dt_max = \S+, reply wait = 0\.000 s, wall = \S+ s", first)
+    assert "row blocks = 1, rows per chunk = 5, workers = 0" in chunked
 
 
-def test_constant_equilibria_are_fixed_points():
+def test_constant_equilibria_are_fixed_points(monkeypatch):
     spec = cubic_identity_model(0.02)
     g = Grid(64)
     dt = stability_dt(spec, g)
@@ -486,6 +529,16 @@ def test_constant_equilibria_are_fixed_points():
     assert np.abs(_march(hi, spec, dt, 1).values - 1.0).max() == 0.0
     mid = ScalarField(g, np.zeros((64, 64)))
     assert np.abs(_march(mid, spec, dt, 100).values).max() == 0.0
+
+    # so are the wells and 0 of a polynomial D with cross terms, split into
+    # row blocks stepped in uneven chunks
+    _split(monkeypatch, 2, 16, 5 * 32)
+    spec = ModelSpec(cubic_reaction(), POLYNOMIAL_CROSS, 0.05)
+    g = Grid(32)
+    for well in (-1.0, 0.0, 1.0):
+        fld = ScalarField(g, np.full((32, 32), well))
+        assert np.abs(_march(fld, spec, stability_dt(spec, g), 20).values
+                      - well).max() == 0.0
 
 
 def test_flat_interface_quasi_stationary():

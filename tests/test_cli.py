@@ -100,6 +100,61 @@ def test_null_config_object_exits_3(tmp_path, capsys, path, name):
     assert not (tmp_path / "c").exists()
 
 
+_MISSING = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(("eps",), None, "eps must be a list of numbers, got None",
+                 id="eps-null"),
+    pytest.param(("eps",), "0.04", "eps must be a list of numbers, got '0.04'",
+                 id="eps-string"),
+    pytest.param(("eps",), [0.08, True], "eps[1] must be a number, got True",
+                 id="eps-bool"),
+    pytest.param(("grid", "n"), None, "grid.n must be a number, got None",
+                 id="grid.n-null"),
+    pytest.param(("grid", "n"), 64.5, "grid.n must be a whole number, got 64.5",
+                 id="grid.n-fraction"),
+    pytest.param(("times", "t_end"), None, "times.t_end must be a number, got None",
+                 id="t_end-null"),
+    pytest.param(("times", "t_end"), _MISSING, "times is missing field 't_end'",
+                 id="t_end-missing"),
+    pytest.param(("times", "checkpoints"), None,
+                 "times.checkpoints must be a list of numbers, got None",
+                 id="checkpoints-null"),
+    pytest.param(("tol", "eta_p"), None, "tol.eta_p must be a number, got None",
+                 id="eta_p-null"),
+    pytest.param(("markers",), None, "markers must be a number, got None",
+                 id="markers-null"),
+    pytest.param(("markers",), 128.5, "markers must be a whole number, got 128.5",
+                 id="markers-fraction"),
+    pytest.param(("model", "epsilon"), None,
+                 "model epsilon must be a number, got None", id="epsilon-null"),
+    pytest.param(("model", "reaction"), {"kind": "poly", "coeffs": None},
+                 "reaction coeffs must be a list of numbers, got None",
+                 id="poly-coeffs-null"),
+    pytest.param(("model", "diffusivity"), {"kind": "identity", "params": {"dim": 2.5}},
+                 "diffusivity dim must be a whole number, got 2.5", id="dim-fraction"),
+    pytest.param(("model", "diffusivity"),
+                 {"kind": "rotation-conjugated-diag",
+                  "params": {"angle": None, "entries": [1.0, 2.0]}},
+                 "diffusivity angle must be a number, got None", id="angle-null"),
+])
+def test_malformed_config_number_exits_3(tmp_path, capsys, path, value, message):
+    cfg = json.loads(json.dumps(EXPERIMENT))
+    owner = cfg
+    for key in path[:-1]:
+        owner = owner[key]
+    if value is _MISSING:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    assert cli_main(["converge", "--config", str(tmp_path / "exp.json"),
+                     "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("kx, code", [(1.5, 3), (2, 0)])
 def test_trig_wave_numbers_must_be_whole(tmp_path, capsys, kx, code):
     cfg = {**EXPERIMENT, "shape": {"kind": "trig",
