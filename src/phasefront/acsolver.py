@@ -11,7 +11,8 @@ One scheme path serves every diffusivity: a constant entry is a degree-0
 polynomial, whose face value is a scalar factor. A ``Stepper`` holds one
 march, with the stability bound and the Horner coefficients computed once and
 the field in preallocated buffers, and ``step(stepper, dt)`` takes its every
-CFL-checked step, in ``simulate``, ``ordering_check`` and any other march.
+CFL-checked step. Every march of the package stops at the ``landing_times``
+of one time schedule and steps onto each by its ``landing_steps``.
 The kernel writes u + dt/h^2 (flux divergence) + cross + dt/eps^2 f(u) with
 the scalings carried by the coefficients: dt/h^2 scales the divergence once,
 the D12 coefficients carry dt/(4h^2), those of f carry dt/eps^2, and those of
@@ -66,6 +67,7 @@ ROWS_PER_BLOCK = 128
 # 128-row chunk per block, which this budget keeps.
 CHUNK_CELLS = 2**15
 ORDERING_TOL = 1e-8         # largest u_low - u_high ordering_check accepts
+LANDING_TOL = 1e-14         # a march this close below a target has reached it
 RANDOM_MAX_MODE = 3         # highest wave number of random_smooth_field
 
 _log = logging.getLogger(__name__)
@@ -120,6 +122,34 @@ def stability_dt(spec: ModelSpec, grid: Grid) -> float:
     dt_diff = grid.h**2 / (4.0 * 2 * spec.c_upper)
     dt_react = CFL_REACTION_SAFETY * spec.epsilon**2 / f_lip
     return min(dt_diff, dt_react)
+
+
+def check_dt(dt: float) -> None:
+    """Raise ConfigError unless dt is a finite positive step length."""
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"dt must be finite and positive, got {dt:g}")
+
+
+def landing_times(t_end: float, checkpoints=None) -> list[float]:
+    """The distinct times of checkpoints and t_end, increasing; ConfigError
+    for a time that is not finite or lies outside [0, t_end]."""
+    if not 0.0 <= t_end < math.inf:
+        raise ConfigError(f"t_end must be finite and nonnegative, got {t_end:g}")
+    times = [float(t) for t in (() if checkpoints is None else checkpoints)]
+    if bad := [t for t in times if not 0.0 <= t <= t_end]:
+        raise ConfigError(f"checkpoints must be finite and lie in "
+                          f"[0, t_end = {t_end:g}], got {bad[0]:g}")
+    return sorted(set(times) | {float(t_end)})
+
+
+def landing_steps(t: float, target: float, dt: float):
+    """The step lengths min(dt, target - t) of a march from t onto target,
+    to within LANDING_TOL; ConfigError for a dt not finite and positive."""
+    check_dt(dt)
+    while t < target - LANDING_TOL:
+        h = min(dt, target - t)
+        yield h
+        t += h
 
 
 def _descending(poly) -> np.ndarray:
@@ -468,7 +498,8 @@ class Stepper:
 def step(stepper: Stepper, dt: float) -> None:
     """One forward-Euler step of length dt of the stepper's field. Raises
     CFLViolated, Blowup or WorkerLost naming the t, step, eps and grid at
-    which it fired."""
+    which it fired, and ConfigError first for a dt not finite and positive."""
+    check_dt(dt)
     stepper.step_index += 1
     if dt > stepper.dt_max * (1.0 + 1e-9):
         raise CFLViolated(
@@ -507,23 +538,17 @@ def step(stepper: Stepper, dt: float) -> None:
 def simulate(u0: ScalarField, spec: ModelSpec, t_end: float,
              snapshot_times=None) -> list[ScalarField]:
     """March to t_end with the stability step, landing exactly on snapshots."""
-    targets = sorted(set(float(s) for s in (snapshot_times or [])) | {float(t_end)})
-    if not np.isfinite(targets).all():
-        raise ConfigError("t_end and snapshot times must be finite")
-    if t_end < 0.0:
-        raise ConfigError("t_end must be nonnegative")
+    targets = landing_times(t_end, snapshot_times)
     if not np.isfinite(u0.values).all():
         raise Blowup(f"initial data is not finite (eps = {spec.epsilon:g}, "
                      f"grid n = {u0.grid.n})")
-    if targets[0] < 0.0 or targets[-1] > t_end:
-        raise ConfigError("snapshot times must lie in [0, t_end]")
 
     start = time.perf_counter()
     out = []
     with Stepper(u0, spec) as stepper:
         for target in targets:
-            while stepper.t < target - 1e-14:
-                step(stepper, min(stepper.dt_max, target - stepper.t))
+            for dt in landing_steps(stepper.t, target, stepper.dt_max):
+                step(stepper, dt)
             stepper.t = target
             out.append(stepper.field())
     _log.debug("simulate: grid n = %d, row blocks = %d, rows per chunk = %d, "
@@ -549,20 +574,14 @@ def ordering_check(u_low: ScalarField, u_high: ScalarField, spec: ModelSpec,
     """March both fields in lockstep; report the worst comparison violation."""
     if u_low.grid.n != u_high.grid.n:
         raise ConfigError("fields live on different grids")
-    if not np.isfinite(t_end):
-        raise ConfigError("t_end must be finite")
-    if t_end < 0.0:
-        raise ConfigError("t_end must be nonnegative")
+    t_end = landing_times(t_end)[-1]
     violation = float(np.max(u_low.values - u_high.values))
     if violation > 0.0:
         raise ConfigError("u_low must not exceed u_high initially")
     with Stepper(u_low, spec) as lo, Stepper(u_high, spec) as hi:
-        t = 0.0
-        while t < t_end - 1e-14:
-            dt = min(lo.dt_max, t_end - t)
+        for dt in landing_steps(0.0, t_end, lo.dt_max):
             step(lo, dt)
             step(hi, dt)
-            t += dt
             violation = max(violation, float(np.max(lo.u - hi.u)))
     return violation <= ORDERING_TOL, violation
 

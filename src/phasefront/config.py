@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from .acsolver import landing_times
 from .curves import FrontCurve, circle_curve, ellipse_curve
 from .errors import ConfigError
 from .model import (
     ModelSpec,
+    config_field,
     config_number,
     config_numbers,
     config_object,
@@ -49,20 +51,10 @@ _SHAPE_PARAMS = {
 }
 
 
-def _finite_param(key: str, val) -> float:
-    try:
-        x = float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"shape param {key!r} must be a number, got {val!r}") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"shape param {key!r} must be finite, got {val!r}")
-    return x
-
-
 def _shape_from_dict(cfg: dict) -> ShapeSpec:
     """The shape of a CLI string or a JSON config, its params as floats:
-    every required param present, every param a finite number, radii and
-    semi-axes positive, wave numbers whole."""
+    every required param present, every param a finite JSON number, radii
+    and semi-axes positive, wave numbers whole."""
     cfg = config_object(cfg, "shape")
     kind = cfg.pop("kind", None)
     params = config_object(cfg.pop("params", {}), "shape params")
@@ -75,7 +67,8 @@ def _shape_from_dict(cfg: dict) -> ShapeSpec:
         raise ConfigError(f"shape {kind!r} is missing params {sorted(missing)}")
     if unknown := params.keys() - required - optional:
         raise ConfigError(f"shape {kind!r} has unknown params {sorted(unknown)}")
-    params = {key: _finite_param(key, val) for key, val in params.items()}
+    params = {key: config_number(val, f"shape param {key!r}")
+              for key, val in params.items()}
     if small := sorted(key for key in required if params[key] <= 0.0):
         raise ConfigError(f"shape {kind!r} params {small} must be positive")
     if fractional := sorted(key for key in {"kx", "ky"} & params.keys()
@@ -94,7 +87,11 @@ def parse_shape_string(text: str) -> ShapeSpec:
             if not val:
                 raise ConfigError(f"malformed shape parameter {item!r}")
             key = {"R": "r"}.get(key.strip(), key.strip().lower())
-            params[key] = val
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise ConfigError(f"shape param {key!r} must be a number, "
+                                  f"got {val!r}") from None
     return _shape_from_dict({"kind": kind.strip().lower(), "params": params})
 
 
@@ -122,12 +119,7 @@ class ExperimentConfig:
             raise ConfigError(f"eta_g must lie in (0, {eta0}), got {self.eta_g}")
         if not (0.0 < self.eta_p < eta0):
             raise ConfigError(f"eta_p must lie in (0, {eta0}), got {self.eta_p}")
-        if not np.isfinite((self.t_end, *self.checkpoints)).all():
-            raise ConfigError("t_end and checkpoints must be finite")
-        if self.t_end < 0.0:
-            raise ConfigError("t_end must be nonnegative")
-        if any(c < 0.0 or c > self.t_end for c in self.checkpoints):
-            raise ConfigError("checkpoints must lie in [0, t_end]")
+        landing_times(self.t_end, self.checkpoints)
 
     def grid_size_for(self, eps: float) -> int:
         """Smallest power of two with h <= eps/4, at least the configured floor."""
@@ -140,13 +132,8 @@ class ExperimentConfig:
 
 def experiment_from_dict(cfg: dict) -> ExperimentConfig:
     cfg = config_object(cfg, "config")
-
-    def take(name, default=None, required=False):
-        if required and name not in cfg:
-            raise ConfigError(f"config is missing field {name!r}")
-        return cfg.pop(name, default)
-
-    model = model_from_config(take("model", required=True))
+    take = partial(config_field, cfg, "config")
+    model = model_from_config(take("model"))
     grid = config_object(take("grid", {"n": 64}), "grid")
     grid_n = config_number(grid.pop("n", 64), "grid.n", whole=True)
     if grid:
@@ -155,9 +142,7 @@ def experiment_from_dict(cfg: dict) -> ExperimentConfig:
     shape = _shape_from_dict(take("shape", {"kind": "circle",
                                             "params": {"r": 0.25}}))
     times = config_object(take("times", {"t_end": 0.01}), "times")
-    if "t_end" not in times:
-        raise ConfigError("times is missing field 't_end'")
-    t_end = config_number(times.pop("t_end"), "times.t_end")
+    t_end = config_number(config_field(times, "times", "t_end"), "times.t_end")
     checkpoints = config_numbers(times.pop("checkpoints", [t_end]),
                                  "times.checkpoints")
     if times:

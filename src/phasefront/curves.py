@@ -133,18 +133,15 @@ def _frame(spline, s: np.ndarray, t: np.ndarray, w: np.ndarray):
     return np.stack([tau[:, 1], -tau[:, 0]], axis=1), kappa
 
 
-def geometry(curve: FrontCurve, checked: bool = True) -> FrontCurve:
+def geometry(curve: FrontCurve) -> FrontCurve:
     """Fill unit outward normals and curvature from the periodic chord fit.
 
-    Contractible and wrapping curves share one fit (``_chord_fit``); repeated
-    consecutive vertices raise ``DegenerateCurve``. ``checked=False`` skips
-    the simplicity test (inner-loop use; callers run the topology checks at
-    their own cadence).
+    Contractible and wrapping curves share one fit (``_chord_fit``); fewer
+    than 8 vertices or repeated consecutive ones raise ``DegenerateCurve``.
+    Simplicity is not tested here: callers run ``is_simple`` when they need it.
     """
     if curve.n_vertices < 8:
         raise DegenerateCurve(f"need >= 8 vertices, have {curve.n_vertices}")
-    if checked and not is_simple(curve):
-        raise DegenerateCurve("curve is self-intersecting")
     spline, t, w = _chord_fit(curve)
     normals, kappa = _frame(spline, t[:-1], t, w)
     return replace(curve, normals=normals, curvature=kappa)

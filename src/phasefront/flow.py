@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acsolver import Grid
+from .acsolver import Grid, check_dt, landing_steps, landing_times
 from .curves import (
     FrontCurve,
     curve_length,
@@ -78,13 +78,12 @@ def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float) -> FrontC
     the returned curve its normals and curvature, which the next step's first
     substep reuses.
     """
-    if not 0.0 < dt < np.inf:
-        raise ConfigError("dt must be finite and positive")
+    check_dt(dt)
     cur = curve
     remaining = dt
     while remaining > 1e-18:
         if cur.normals is None or cur.curvature is None:
-            cur = geometry(cur, checked=False)
+            cur = geometry(cur)
         seg = np.linalg.norm(np.diff(cur.closed_loop(), axis=0), axis=1)
         weights = mobility.tangential_weight(cur.normals)
         wmax = float(np.abs(weights).max())
@@ -107,20 +106,12 @@ def step_front(curve: FrontCurve, mobility: MobilityTensor, dt: float) -> FrontC
 
 
 def _march(state, advance, t_end: float, dt: float, checkpoints, where) -> list:
-    """(t, state) at each checkpoint and t_end, marching advance(state, h) in
-    steps h <= dt that land exactly on them. A step's error is re-raised as
+    """(t, state) at each landing time, marching advance(state, h) in the
+    landing steps of dt, never resetting t. A step's error is re-raised as
     its own type, naming t, the step index and where(state) before it."""
-    if not 0.0 < dt < np.inf:
-        raise ConfigError(f"dt must be finite and positive, got {dt:g}")
-    targets = sorted(set(float(c) for c in (checkpoints or [])) | {float(t_end)})
-    if not np.isfinite(targets).all():
-        raise ConfigError("t_end and checkpoints must be finite")
-    if targets[0] < 0.0 or targets[-1] > t_end:
-        raise ConfigError("checkpoints must lie in [0, t_end]")
     out, t, steps = [], 0.0, 0
-    for target in targets:
-        while t < target - 1e-14:
-            sub = min(dt, target - t)
+    for target in landing_times(t_end, checkpoints):
+        for sub in landing_steps(t, target, dt):
             steps += 1
             try:
                 state = advance(state, sub)
@@ -291,8 +282,9 @@ def step_level_set(sdf: SignedDistanceField, mobility: MobilityTensor,
     tau = (-d_y, d_x) / |grad d| and w is read from the weight table at the
     quantized angle of grad d. Cells with |grad d| < 1/2 are held fixed; in
     |d| < 3h they raise GradientDegeneracy. dt above ``level_set_dt`` raises
-    CFLViolated.
+    CFLViolated and a dt that is not finite and positive ConfigError.
     """
+    check_dt(dt)
     bound = level_set_dt(mobility, sdf.grid)
     if dt > bound * (1.0 + 1e-9):
         raise CFLViolated(f"dt = {dt:g} exceeds the level-set stability bound "

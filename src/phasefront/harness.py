@@ -21,6 +21,8 @@ from .acsolver import (
     Grid,
     ScalarField,
     extract_level_set,
+    landing_steps,
+    landing_times,
     simulate,
     trig_product_field,
 )
@@ -43,6 +45,7 @@ LEMMA_N_TAU = 40
 LEMMA_XI_SPAN = 1.5
 LEMMA_N_XI = 41
 LEMMA_CEILING = 100.0
+REACTION_DT = 1e-3          # RK4 step of the reaction clock
 ORDER_THRESHOLD = 0.8       # least fitted convergence order a sweep passes with
 
 
@@ -55,23 +58,23 @@ def t_epsilon(spec: ModelSpec, eps: float) -> float:
 # reaction clock Y' = f(Y)
 # ---------------------------------------------------------------------------
 
-def solve_reaction_ode(spec: ModelSpec, xi, tau: float, h_tau: float = 1e-3):
+def solve_reaction_ode(spec: ModelSpec, xi, tau: float):
     """RK4 on Y' = f(Y) jointly with the variational equations.
 
     Returns (Y, Y_xi) at time tau (shape follows xi). Blowup is raised if Y
-    leaves the bistable region by a wide margin (possible only for far-out
-    initial values).
+    is not finite or leaves the bistable region by a wide margin (possible
+    only for far-out initial values).
     """
-    if tau < 0:
-        raise ConfigError("tau must be nonnegative")
-    y, dy, _ = reaction_trajectory(spec, xi, [tau], h_tau)[0]
-    if np.isscalar(xi) or np.asarray(xi).ndim == 0:
-        return float(y[0]), float(dy[0])
-    return y, dy
+    y, dy, _ = reaction_trajectory(spec, xi, [tau])[0]
+    return (float(y[0]), float(dy[0])) if np.ndim(xi) == 0 else (y, dy)
 
 
-def reaction_trajectory(spec: ModelSpec, xi, tau_list, h_tau: float = 1e-3):
-    """(Y, Y_xi, Y_xixi) captured at each tau of a single joint RK4 march."""
+def reaction_trajectory(spec: ModelSpec, xi, tau_list):
+    """(Y, Y_xi, Y_xixi) at each tau of tau_list, in the order asked, from
+    one joint RK4 march in steps of REACTION_DT that lands on the distinct
+    taus in increasing order. Blowup names the tau and the step at which Y
+    left the bistable region."""
+    taus = [float(tau) for tau in tau_list]
     r = spec.reaction
     cf = r.poly.coef[::-1]
     cfp = r.poly.deriv().coef[::-1]
@@ -86,13 +89,10 @@ def reaction_trajectory(spec: ModelSpec, xi, tau_list, h_tau: float = 1e-3):
     y = np.atleast_1d(np.asarray(xi, dtype=float)).copy()
     dy = np.ones_like(y)
     d2y = np.zeros_like(y)
-    t = 0.0
-    captures = []
-    for target in map(float, tau_list):
-        if target < t:
-            raise ConfigError("capture times must be nondecreasing")
-        while t < target - 1e-14:
-            h = min(h_tau, target - t)
+    t, steps = 0.0, 0
+    captures = {}
+    for target in landing_times(max(taus, default=0.0), taus):
+        for h in landing_steps(t, target, REACTION_DT):
             a1, b1, c1 = rhs(y, dy, d2y)
             a2, b2, c2 = rhs(y + 0.5 * h * a1, dy + 0.5 * h * b1, d2y + 0.5 * h * c1)
             a3, b3, c3 = rhs(y + 0.5 * h * a2, dy + 0.5 * h * b2, d2y + 0.5 * h * c2)
@@ -101,10 +101,12 @@ def reaction_trajectory(spec: ModelSpec, xi, tau_list, h_tau: float = 1e-3):
             dy = dy + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
             d2y = d2y + (h / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4)
             t += h
-            if np.abs(y).max() > big:
-                raise Blowup("reaction trajectory left the bistable region")
-        captures.append((y.copy(), dy.copy(), d2y.copy()))
-    return captures
+            steps += 1
+            if not np.abs(y).max() <= big:      # nan fails too
+                raise Blowup(f"reaction trajectory left the bistable region "
+                             f"at tau = {t:g}, step {steps}")
+        captures[target] = (y, dy, d2y)
+    return [tuple(a.copy() for a in captures[tau]) for tau in taus]
 
 
 @dataclass
@@ -206,8 +208,9 @@ def _initial_field(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
 
 
 def generation_experiment(cfg: ExperimentConfig) -> GenerationReport:
-    """Run the phase solver to the generation time for each eps and fit the
-    smallest layer-width constant below the configured ceiling."""
+    """Run the phase solver to the generation time for each eps and read off
+    the layer-width constant m_hat, which must lie below the configured
+    ceiling."""
     spec0 = cfg.model
     r = spec0.reaction
     rows = []
@@ -222,31 +225,14 @@ def generation_experiment(cfg: ExperimentConfig) -> GenerationReport:
         bounds_ok = (u_min >= r.alpha_minus - cfg.eta_g - 1e-12
                      and u_max <= r.alpha_plus + cfg.eta_g + 1e-12)
 
-        def layer_ok(m: float) -> bool:
-            hi_sel = u0.values >= r.alpha_mid + m * eps
-            lo_sel = u0.values <= r.alpha_mid - m * eps
-            hi_ok = np.all(final.values[hi_sel] >= r.alpha_plus - cfg.eta_g) \
-                if hi_sel.any() else True
-            lo_ok = np.all(final.values[lo_sel] <= r.alpha_minus + cfg.eta_g) \
-                if lo_sel.any() else True
-            return bool(hi_ok and lo_ok)
-
-        if not layer_ok(cfg.m0_ceiling):
-            rows.append(GenerationRow(eps, grid.n, t_eps, u_min, u_max,
-                                      bounds_ok, math.inf, False))
-            continue
-        if layer_ok(0.0):
-            hi = 0.0
-        else:
-            lo, hi = 0.0, cfg.m0_ceiling
-            for _ in range(30):
-                mid = 0.5 * (lo + hi)
-                if layer_ok(mid):
-                    hi = mid
-                else:
-                    lo = mid
-        rows.append(GenerationRow(eps, grid.n, t_eps, u_min, u_max,
-                                  bounds_ok, hi, True))
+        # m_hat: max |u0 - alpha|/eps over cells ending on the wrong side
+        wrong = np.where(u0.values >= r.alpha_mid,
+                         final.values < r.alpha_plus - cfg.eta_g,
+                         final.values > r.alpha_minus + cfg.eta_g)
+        m_hat = float(np.abs(u0.values[wrong] - r.alpha_mid).max(initial=0.0)) / eps
+        within = m_hat < cfg.m0_ceiling
+        rows.append(GenerationRow(eps, grid.n, t_eps, u_min, u_max, bounds_ok,
+                                  m_hat if within else math.inf, within))
 
     passed = all(row.bounds_ok and row.within_ceiling for row in rows)
     report = GenerationReport(rows=rows, eta_g=cfg.eta_g,
@@ -305,7 +291,7 @@ class ConvergenceReport:
 
 
 def propagation_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
-    """Phase-field contours against the front-tracking flow across eps."""
+    """Phase-field contours against the front-tracking flow at each time."""
     if not cfg.shape.is_curve:
         raise ConfigError("propagation needs a geometric shape (circle/ellipse)")
     spec0 = cfg.model
@@ -313,12 +299,11 @@ def propagation_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     gamma0 = cfg.shape.build_curve(cfg.markers)
     mobility = tabulate_mobility(spec0, 256)
     try:
-        front_history = evolve_front(gamma0, mobility, cfg.t_end, dt=1e-5,
-                                     checkpoints=cfg.checkpoints)
+        fronts = dict(evolve_front(gamma0, mobility, cfg.t_end, dt=1e-5,
+                                   checkpoints=cfg.checkpoints))
     except Extinction as exc:
         raise ExtinctionBeforeEnd(
             f"reference flow went extinct before t_end={cfg.t_end}") from exc
-    fronts = dict(front_history)
 
     table = ProfileTable.build(spec0, m_angles=64)
     # signed distances of gamma0 and of the final front, per grid size:
@@ -334,9 +319,9 @@ def propagation_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         u0 = _tanh_ansatz(grid, spec, table, d0[grid.n])
         snaps = simulate(u0, spec, cfg.t_end, snapshot_times=cfg.checkpoints)
         dists = []
-        for snap, t in zip(snaps, sorted(set(cfg.checkpoints) | {cfg.t_end})):
+        for snap in snaps:
             contour = extract_level_set(snap, r.alpha_mid)[0]
-            dists.append(hausdorff(contour, fronts[t]))
+            dists.append(hausdorff(contour, fronts[snap.t]))
         final = snaps[-1]
         u_min, u_max = float(final.values.min()), float(final.values.max())
         bounds_ok = (u_min >= r.alpha_minus - cfg.eta_p - 1e-12

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +64,14 @@ def config_object(value, name: str) -> dict:
     return dict(value)
 
 
+def config_field(cfg: dict, name: str, key: str, *default):
+    """Pop field ``key`` of the config object ``name``, which must be
+    present unless a default is given."""
+    if not default and key not in cfg:
+        raise ConfigError(f"{name} is missing field {key!r}")
+    return cfg.pop(key, *default)
+
+
 def config_number(value, name: str, *, whole: bool = False):
     """The config value ``name``, which must be a finite number (not a
     bool), as a float, or as an int when ``whole`` asks for a whole one."""
@@ -83,6 +92,22 @@ def config_numbers(value, name: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
     return tuple(config_number(x, f"{name}[{i}]") for i, x in enumerate(value))
+
+
+def _config_list(value, name: str, item=config_number) -> tuple:
+    """The config value ``name``, a nonempty list, with item(x, name[i])
+    applied to each element x."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+    return tuple(item(x, f"{name}[{i}]") for i, x in enumerate(value))
+
+
+def _config_entry(value, name: str):
+    """A diffusivity entry: a finite number or a nonempty list of them, the
+    ascending coefficients of a polynomial in s."""
+    if isinstance(value, (list, tuple)):
+        return _config_list(value, name)
+    return config_number(value, name)
 
 
 def check_unit(e) -> np.ndarray:
@@ -268,10 +293,8 @@ def rotated_diagonal_diffusivity(angle: float, entries: Sequence) -> Diffusivity
 
 
 def polynomial_diffusivity(entry_coeffs: Sequence[Sequence]) -> DiffusivitySpec:
-    dim = len(entry_coeffs)
-    rows = tuple(tuple(_as_poly(entry_coeffs[i][j]) for j in range(dim))
-                 for i in range(dim))
-    return DiffusivitySpec(rows, dim)
+    rows = tuple(tuple(_as_poly(c) for c in row) for row in entry_coeffs)
+    return DiffusivitySpec(rows, len(rows))
 
 
 def diffusivity_from_config(cfg: dict) -> DiffusivitySpec:
@@ -281,22 +304,22 @@ def diffusivity_from_config(cfg: dict) -> DiffusivitySpec:
     if cfg:
         raise ConfigError(f"unknown diffusivity fields: {sorted(cfg)}")
 
-    def take(name, default=None, required=False):
-        if required and name not in params:
-            raise ConfigError(f"diffusivity kind {kind!r} needs param {name!r}")
-        return params.pop(name, default)
+    take = partial(config_field, params, "diffusivity params")
+
+    def entries(item=_config_entry):
+        return _config_list(take("entries"), "diffusivity entries", item)
 
     if kind == "identity":
         spec = identity_diffusivity(
             config_number(take("dim", 2), "diffusivity dim", whole=True))
     elif kind == "diag":
-        spec = diagonal_diffusivity(take("entries", required=True))
+        spec = diagonal_diffusivity(entries())
     elif kind == "rotation-conjugated-diag":
         spec = rotated_diagonal_diffusivity(
-            config_number(take("angle", required=True), "diffusivity angle"),
-            take("entries", required=True))
+            config_number(take("angle"), "diffusivity angle"), entries())
     elif kind == "poly":
-        spec = polynomial_diffusivity(take("entries", required=True))
+        spec = polynomial_diffusivity(entries(
+            lambda row, name: _config_list(row, name, _config_entry)))
     else:
         raise ConfigError(f"unknown diffusivity kind {kind!r}")
     if params:
@@ -361,12 +384,10 @@ class ModelSpec:
 
 def model_from_config(cfg: dict) -> ModelSpec:
     cfg = config_object(cfg, "model")
-    try:
-        reaction = reaction_from_config(cfg.pop("reaction"))
-        diffusivity = diffusivity_from_config(cfg.pop("diffusivity"))
-        epsilon = config_number(cfg.pop("epsilon"), "model epsilon")
-    except KeyError as exc:
-        raise ConfigError(f"model config missing field {exc}") from exc
+    take = partial(config_field, cfg, "model")
+    reaction = reaction_from_config(take("reaction"))
+    diffusivity = diffusivity_from_config(take("diffusivity"))
+    epsilon = config_number(take("epsilon"), "model epsilon")
     if cfg:
         raise ConfigError(f"unknown model fields: {sorted(cfg)}")
     return ModelSpec(reaction, diffusivity, epsilon)

@@ -138,6 +138,40 @@ _MISSING = object()
                  {"kind": "rotation-conjugated-diag",
                   "params": {"angle": None, "entries": [1.0, 2.0]}},
                  "diffusivity angle must be a number, got None", id="angle-null"),
+    pytest.param(("model", "diffusivity"), {"kind": "diag", "params": {"entries": None}},
+                 "diffusivity entries must be a nonempty list, got None",
+                 id="entries-null"),
+    pytest.param(("model", "diffusivity"),
+                 {"kind": "diag", "params": {"entries": [1.0, "x"]}},
+                 "diffusivity entries[1] must be a number, got 'x'", id="entry-string"),
+    pytest.param(("model", "diffusivity"),
+                 {"kind": "diag", "params": {"entries": [1.0, None]}},
+                 "diffusivity entries[1] must be a number, got None", id="entry-null"),
+    pytest.param(("model", "diffusivity"),
+                 {"kind": "rotation-conjugated-diag",
+                  "params": {"angle": 0.3, "entries": [1.0, [2.0, None]]}},
+                 "diffusivity entries[1][1] must be a number, got None",
+                 id="rotated-coefficient-null"),
+    pytest.param(("model", "diffusivity"),
+                 {"kind": "poly", "params": {"entries": [[1.0, 0.0], None]}},
+                 "diffusivity entries[1] must be a nonempty list, got None",
+                 id="poly-row-null"),
+    pytest.param(("model", "diffusivity"),
+                 {"kind": "poly", "params": {"entries": [[1.0, 0.0], [0.0, []]]}},
+                 "diffusivity entries[1][1] must be a nonempty list, got []",
+                 id="poly-coefficients-empty"),
+    pytest.param(("model", "diffusivity"),
+                 {"kind": "poly", "params": {"entries": [[1.0, 0.0], [0.0]]}},
+                 "diffusivity entry matrix shape does not match dim",
+                 id="poly-not-square"),
+    pytest.param(("model", "diffusivity"), {"kind": "diag", "params": {}},
+                 "diffusivity params is missing field 'entries'", id="entries-missing"),
+    pytest.param(("model", "epsilon"), _MISSING, "model is missing field 'epsilon'",
+                 id="epsilon-missing"),
+    pytest.param(("model",), _MISSING, "config is missing field 'model'",
+                 id="model-missing"),
+    pytest.param(("shape", "params", "r"), "0.25",
+                 "shape param 'r' must be a number, got '0.25'", id="shape-param-string"),
 ])
 def test_malformed_config_number_exits_3(tmp_path, capsys, path, value, message):
     cfg = json.loads(json.dumps(EXPERIMENT))

@@ -85,10 +85,6 @@ def test_reversed_orientation_flips_curvature():
 def test_geometry_rejects_degenerate():
     with pytest.raises(errors.DegenerateCurve):
         geometry(curve_from_points(np.array([[0.2, 0.2], [0.8, 0.8], [0.5, 0.3]])))
-    th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    eight = np.stack([0.5 + 0.2 * np.sin(2 * th), 0.5 + 0.1 * np.sin(th)], axis=1)
-    with pytest.raises(errors.DegenerateCurve):
-        geometry(curve_from_points(eight))
 
 
 # -- front tracking ----------------------------------------------------------

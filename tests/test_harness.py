@@ -79,8 +79,10 @@ def test_reaction_ode_equilibria_and_variation():
 
 def test_reaction_ode_blowup_reported():
     spec = cubic_identity_model()
-    with pytest.raises(errors.Blowup):
+    with pytest.raises(errors.Blowup, match=r"at tau = 0\.001, step 1$"):
         solve_reaction_ode(spec, 100.0, 1.0)
+    with pytest.raises(errors.Blowup, match=r"at tau = 0\.001, step 1$"):
+        solve_reaction_ode(spec, [0.5, math.nan], 1.0)
 
 
 def test_generation_lemma_fits():
