@@ -177,7 +177,8 @@ def _cmd_simulate(args) -> int:
     if not shape.is_curve:
         raise ConfigError("simulate builds its initial data from a curve shape")
     table = ProfileTable.build(spec, m_angles=64)
-    u0 = tanh_ansatz_field(grid, spec, table, shape.build_curve(512))
+    d = signed_distance(shape.build_curve(512), grid).values
+    u0 = tanh_ansatz_field(grid, spec, table, d)
     fields = simulate(u0, spec, args.tend, snapshot_times=snaps)
     for fld in fields:
         prefix = f"{args.out_prefix}_t{fld.t:.6f}"

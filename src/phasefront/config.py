@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .acsolver import landing_times
-from .curves import FrontCurve, circle_curve, ellipse_curve
+from .curves import MIN_VERTICES, FrontCurve, circle_curve, ellipse_curve
 from .errors import ConfigError
 from .model import (
     ModelSpec,
-    config_field,
+    config_fields,
     config_number,
     config_numbers,
     config_object,
+    config_params,
     model_from_config,
 )
 
@@ -28,6 +28,8 @@ class ShapeSpec:
     params: dict
 
     def build_curve(self, n_vertices: int = 512) -> FrontCurve:
+        if n_vertices < MIN_VERTICES:
+            raise ConfigError(f"markers must be at least {MIN_VERTICES}, got {n_vertices}")
         p = self.params
         center = (p.get("cx", 0.5), p.get("cy", 0.5))
         if self.kind == "circle":
@@ -43,33 +45,22 @@ class ShapeSpec:
 
 
 # each shape kind's required params, which are sizes and must be positive,
-# and its optional ones
+# and its optional ones, which have no default here
 _SHAPE_PARAMS = {
-    "circle": ({"r"}, {"cx", "cy"}),
-    "ellipse": ({"a", "b"}, {"cx", "cy"}),
-    "trig": (set(), {"amplitude", "kx", "ky", "offset"}),
+    "circle": (("r",), {"cx": None, "cy": None}),
+    "ellipse": (("a", "b"), {"cx": None, "cy": None}),
+    "trig": ((), {"amplitude": None, "kx": None, "ky": None, "offset": None}),
 }
 
 
 def _shape_from_dict(cfg: dict) -> ShapeSpec:
     """The shape of a CLI string or a JSON config, its params as floats:
-    every required param present, every param a finite JSON number, radii
-    and semi-axes positive, wave numbers whole."""
-    cfg = config_object(cfg, "shape")
-    kind = cfg.pop("kind", None)
-    params = config_object(cfg.pop("params", {}), "shape params")
-    if cfg:
-        raise ConfigError(f"unknown shape fields: {sorted(cfg)}")
-    if kind not in _SHAPE_PARAMS:
-        raise ConfigError(f"unknown shape kind {kind!r}")
-    required, optional = _SHAPE_PARAMS[kind]
-    if missing := required - params.keys():
-        raise ConfigError(f"shape {kind!r} is missing params {sorted(missing)}")
-    if unknown := params.keys() - required - optional:
-        raise ConfigError(f"shape {kind!r} has unknown params {sorted(unknown)}")
+    every param a finite JSON number, radii and semi-axes positive, wave
+    numbers whole."""
+    kind, params = config_params(cfg, "shape", _SHAPE_PARAMS)
     params = {key: config_number(val, f"shape param {key!r}")
               for key, val in params.items()}
-    if small := sorted(key for key in required if params[key] <= 0.0):
+    if small := [key for key in _SHAPE_PARAMS[kind][0] if params[key] <= 0.0]:
         raise ConfigError(f"shape {kind!r} params {small} must be positive")
     if fractional := sorted(key for key in {"kx", "ky"} & params.keys()
                             if not params[key].is_integer()):
@@ -110,6 +101,8 @@ class ExperimentConfig:
     markers: int = field(default=512)
 
     def __post_init__(self):
+        if not self.eps_list:
+            raise ConfigError("epsilon list must not be empty")
         if any(e <= 0 for e in self.eps_list):
             raise ConfigError("epsilon values must be positive")
         if any(a <= b for a, b in zip(self.eps_list, self.eps_list[1:])):
@@ -131,36 +124,30 @@ class ExperimentConfig:
 
 
 def experiment_from_dict(cfg: dict) -> ExperimentConfig:
-    cfg = config_object(cfg, "config")
-    take = partial(config_field, cfg, "config")
-    model = model_from_config(take("model"))
-    grid = config_object(take("grid", {"n": 64}), "grid")
-    grid_n = config_number(grid.pop("n", 64), "grid.n", whole=True)
-    if grid:
-        raise ConfigError(f"unknown grid fields: {sorted(grid)}")
-    eps_list = config_numbers(take("eps", [model.epsilon]), "eps")
-    shape = _shape_from_dict(take("shape", {"kind": "circle",
-                                            "params": {"r": 0.25}}))
-    times = config_object(take("times", {"t_end": 0.01}), "times")
-    t_end = config_number(config_field(times, "times", "t_end"), "times.t_end")
-    checkpoints = config_numbers(times.pop("checkpoints", [t_end]),
+    """The experiment of a JSON config. ``eps`` defaults to the model's
+    epsilon and ``times.checkpoints`` to [t_end]."""
+    cfg = config_fields(cfg, "config", ("model",), {
+        "grid": {"n": 64}, "eps": None,
+        "shape": {"kind": "circle", "params": {"r": 0.25}},
+        "times": {"t_end": 0.01}, "tol": {}, "out": None, "markers": 512})
+    model = model_from_config(cfg["model"])
+    grid = config_fields(cfg["grid"], "grid", (), {"n": 64})
+    grid_n = config_number(grid["n"], "grid.n", whole=True)
+    eps_list = config_numbers(cfg.get("eps", [model.epsilon]), "eps")
+    shape = _shape_from_dict(cfg["shape"])
+    times = config_fields(cfg["times"], "times", ("t_end",), {"checkpoints": None})
+    t_end = config_number(times["t_end"], "times.t_end")
+    checkpoints = config_numbers(times.get("checkpoints", [t_end]),
                                  "times.checkpoints")
-    if times:
-        raise ConfigError(f"unknown times fields: {sorted(times)}")
-    tol = config_object(take("tol", {}), "tol")
-    eta_g = config_number(tol.pop("eta_g", 0.1), "tol.eta_g")
-    eta_p = config_number(tol.pop("eta_p", 0.1), "tol.eta_p")
-    m0_ceiling = config_number(tol.pop("m0_ceiling", 10.0), "tol.m0_ceiling")
-    if tol:
-        raise ConfigError(f"unknown tol fields: {sorted(tol)}")
-    out_dir = take("out", None)
-    markers = config_number(take("markers", 512), "markers", whole=True)
-    if cfg:
-        raise ConfigError(f"unknown config fields: {sorted(cfg)}")
-    return ExperimentConfig(model=model, grid_n=grid_n, eps_list=eps_list,
-                            shape=shape, t_end=t_end, checkpoints=checkpoints,
-                            eta_g=eta_g, eta_p=eta_p, m0_ceiling=m0_ceiling,
-                            out_dir=out_dir, markers=markers)
+    tol = config_fields(cfg["tol"], "tol", (),
+                        {"eta_g": 0.1, "eta_p": 0.1, "m0_ceiling": 10.0})
+    return ExperimentConfig(
+        model=model, grid_n=grid_n, eps_list=eps_list, shape=shape, t_end=t_end,
+        checkpoints=checkpoints, eta_g=config_number(tol["eta_g"], "tol.eta_g"),
+        eta_p=config_number(tol["eta_p"], "tol.eta_p"),
+        m0_ceiling=config_number(tol["m0_ceiling"], "tol.m0_ceiling"),
+        out_dir=cfg.get("out"),
+        markers=config_number(cfg["markers"], "markers", whole=True))
 
 
 def load_config(path) -> dict:

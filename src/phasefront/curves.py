@@ -27,6 +27,8 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateCurve
 
+MIN_VERTICES = 8            # fewest vertices the periodic chord fit takes
+
 
 @dataclass
 class FrontCurve:
@@ -137,11 +139,11 @@ def geometry(curve: FrontCurve) -> FrontCurve:
     """Fill unit outward normals and curvature from the periodic chord fit.
 
     Contractible and wrapping curves share one fit (``_chord_fit``); fewer
-    than 8 vertices or repeated consecutive ones raise ``DegenerateCurve``.
+    than MIN_VERTICES or repeated consecutive vertices raise DegenerateCurve.
     Simplicity is not tested here: callers run ``is_simple`` when they need it.
     """
-    if curve.n_vertices < 8:
-        raise DegenerateCurve(f"need >= 8 vertices, have {curve.n_vertices}")
+    if curve.n_vertices < MIN_VERTICES:
+        raise DegenerateCurve(f"need >= {MIN_VERTICES} vertices, have {curve.n_vertices}")
     spline, t, w = _chord_fit(curve)
     normals, kappa = _frame(spline, t[:-1], t, w)
     return replace(curve, normals=normals, curvature=kappa)
@@ -154,8 +156,8 @@ def resample(curve: FrontCurve, n_vertices: int) -> FrontCurve:
     and curvature at the new vertices, as ``geometry`` would read them off
     the same fit; repeated consecutive vertices raise ``DegenerateCurve``.
     """
-    if n_vertices < 8:
-        raise DegenerateCurve("resampling below 8 vertices")
+    if n_vertices < MIN_VERTICES:
+        raise DegenerateCurve(f"resampling below {MIN_VERTICES} vertices")
     spline, t, w = _chord_fit(curve)
     targets = np.linspace(0.0, t[-1], n_vertices, endpoint=False)
     pts = spline(targets) + np.outer(targets / t[-1], w)

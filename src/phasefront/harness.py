@@ -247,14 +247,9 @@ def generation_experiment(cfg: ExperimentConfig) -> GenerationReport:
 # ---------------------------------------------------------------------------
 
 def tanh_ansatz_field(grid: Grid, spec: ModelSpec, table: ProfileTable,
-                      curve: FrontCurve) -> ScalarField:
-    """Composed initial data u0(x) = U0(d(x)/eps; n(x)) via the profile table."""
-    return _tanh_ansatz(grid, spec, table, signed_distance(curve, grid).values)
-
-
-def _tanh_ansatz(grid: Grid, spec: ModelSpec, table: ProfileTable,
-                 d: np.ndarray) -> ScalarField:
-    """tanh_ansatz_field from the signed distance d of the curve."""
+                      d: np.ndarray) -> ScalarField:
+    """Composed initial data u0(x) = U0(d(x)/eps; n(x)) via the profile
+    table, from the signed distance d of the curve on grid."""
     h = grid.h
     gx = (np.roll(d, -1, 0) - np.roll(d, 1, 0)) / (2 * h)
     gy = (np.roll(d, -1, 1) - np.roll(d, 1, 1)) / (2 * h)
@@ -316,7 +311,7 @@ def propagation_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         if grid.n not in d0:
             d0[grid.n] = signed_distance(gamma0, grid).values
             d_end[grid.n] = signed_distance(fronts[cfg.t_end], grid).values
-        u0 = _tanh_ansatz(grid, spec, table, d0[grid.n])
+        u0 = tanh_ansatz_field(grid, spec, table, d0[grid.n])
         snaps = simulate(u0, spec, cfg.t_end, snapshot_times=cfg.checkpoints)
         dists = []
         for snap in snaps:

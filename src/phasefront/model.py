@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -64,12 +63,36 @@ def config_object(value, name: str) -> dict:
     return dict(value)
 
 
-def config_field(cfg: dict, name: str, key: str, *default):
-    """Pop field ``key`` of the config object ``name``, which must be
-    present unless a default is given."""
-    if not default and key not in cfg:
-        raise ConfigError(f"{name} is missing field {key!r}")
-    return cfg.pop(key, *default)
+def config_fields(value, name: str, required, optional: dict) -> dict:
+    """The fields of the config object ``name``: a JSON object holding every
+    field of ``required`` and no field outside ``required`` and ``optional``.
+
+    ``optional`` maps each optional field to its default, filled in where
+    the field is absent; a None default leaves an absent field out.
+    """
+    cfg = config_object(value, name)
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"{name} is missing field {key!r}")
+    if unknown := cfg.keys() - set(required) - optional.keys():
+        raise ConfigError(f"{name}: unknown {name} fields {sorted(unknown)}")
+    return {**{k: v for k, v in optional.items() if v is not None}, **cfg}
+
+
+def config_kind(value, name: str, kinds) -> str:
+    """``value``, the kind of the config object ``name``, one of ``kinds``."""
+    if not isinstance(value, str) or value not in kinds:
+        raise ConfigError(f"unknown {name} kind {value!r}")
+    return value
+
+
+def config_params(value, name: str, kinds: dict) -> tuple[str, dict]:
+    """The kind and the params of the {"kind", "params"} config object
+    ``name``; ``kinds`` maps each kind to the (required, optional) fields of
+    its params, as :func:`config_fields` takes them."""
+    cfg = config_fields(value, name, ("kind",), {"params": {}})
+    kind = config_kind(cfg["kind"], name, kinds)
+    return kind, config_fields(cfg["params"], f"{name} params", *kinds[kind])
 
 
 def config_number(value, name: str, *, whole: bool = False):
@@ -211,20 +234,16 @@ def polynomial_reaction(coeffs: Sequence[float]) -> ReactionSpec:
 
 
 def reaction_from_config(cfg: dict) -> ReactionSpec:
-    cfg = config_object(cfg, "reaction")
-    kind = cfg.pop("kind", None)
-    coeffs = config_numbers(cfg.pop("coeffs", []), "reaction coeffs")
-    if cfg:
-        raise ConfigError(f"unknown reaction fields: {sorted(cfg)}")
+    cfg = config_fields(cfg, "reaction", ("kind",), {"coeffs": []})
+    kind = config_kind(cfg["kind"], "reaction", ("cubic", "shifted-cubic", "poly"))
+    coeffs = config_numbers(cfg["coeffs"], "reaction coeffs")
     if kind == "cubic":
-        return cubic_reaction(*([float(coeffs[0])] if coeffs else []))
+        return cubic_reaction(*coeffs[:1])
     if kind == "shifted-cubic":
         if len(coeffs) != 1:
             raise ConfigError("shifted-cubic takes a single shift coefficient")
-        return shifted_cubic_reaction(float(coeffs[0]))
-    if kind == "poly":
-        return polynomial_reaction(coeffs)
-    raise ConfigError(f"unknown reaction kind {kind!r}")
+        return shifted_cubic_reaction(coeffs[0])
+    return polynomial_reaction(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,34 +316,31 @@ def polynomial_diffusivity(entry_coeffs: Sequence[Sequence]) -> DiffusivitySpec:
     return DiffusivitySpec(rows, len(rows))
 
 
-def diffusivity_from_config(cfg: dict) -> DiffusivitySpec:
-    cfg = config_object(cfg, "diffusivity")
-    kind = cfg.pop("kind", None)
-    params = config_object(cfg.pop("params", {}), "diffusivity params")
-    if cfg:
-        raise ConfigError(f"unknown diffusivity fields: {sorted(cfg)}")
+# each diffusivity kind's required params and its optional ones with defaults
+_DIFFUSIVITY_PARAMS = {
+    "identity": ((), {"dim": 2}),
+    "diag": (("entries",), {}),
+    "rotation-conjugated-diag": (("angle", "entries"), {}),
+    "poly": (("entries",), {}),
+}
 
-    take = partial(config_field, params, "diffusivity params")
+
+def diffusivity_from_config(cfg: dict) -> DiffusivitySpec:
+    kind, params = config_params(cfg, "diffusivity", _DIFFUSIVITY_PARAMS)
 
     def entries(item=_config_entry):
-        return _config_list(take("entries"), "diffusivity entries", item)
+        return _config_list(params["entries"], "diffusivity entries", item)
 
     if kind == "identity":
-        spec = identity_diffusivity(
-            config_number(take("dim", 2), "diffusivity dim", whole=True))
-    elif kind == "diag":
-        spec = diagonal_diffusivity(entries())
-    elif kind == "rotation-conjugated-diag":
-        spec = rotated_diagonal_diffusivity(
-            config_number(take("angle"), "diffusivity angle"), entries())
-    elif kind == "poly":
-        spec = polynomial_diffusivity(entries(
-            lambda row, name: _config_list(row, name, _config_entry)))
-    else:
-        raise ConfigError(f"unknown diffusivity kind {kind!r}")
-    if params:
-        raise ConfigError(f"unknown diffusivity params: {sorted(params)}")
-    return spec
+        return identity_diffusivity(
+            config_number(params["dim"], "diffusivity dim", whole=True))
+    if kind == "diag":
+        return diagonal_diffusivity(entries())
+    if kind == "rotation-conjugated-diag":
+        return rotated_diagonal_diffusivity(
+            config_number(params["angle"], "diffusivity angle"), entries())
+    return polynomial_diffusivity(entries(
+        lambda row, name: _config_list(row, name, _config_entry)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +368,8 @@ class ModelSpec:
     rem_map: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ConfigError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         r, d = self.reaction, self.diffusivity
         eigs = d.eigenvalues(np.linspace(*self.validation_range, S_SAMPLES))
         object.__setattr__(self, "c_lower", float(eigs.min()))
@@ -383,14 +399,10 @@ class ModelSpec:
 
 
 def model_from_config(cfg: dict) -> ModelSpec:
-    cfg = config_object(cfg, "model")
-    take = partial(config_field, cfg, "model")
-    reaction = reaction_from_config(take("reaction"))
-    diffusivity = diffusivity_from_config(take("diffusivity"))
-    epsilon = config_number(take("epsilon"), "model epsilon")
-    if cfg:
-        raise ConfigError(f"unknown model fields: {sorted(cfg)}")
-    return ModelSpec(reaction, diffusivity, epsilon)
+    cfg = config_fields(cfg, "model", ("reaction", "diffusivity", "epsilon"), {})
+    return ModelSpec(reaction_from_config(cfg["reaction"]),
+                     diffusivity_from_config(cfg["diffusivity"]),
+                     config_number(cfg["epsilon"], "model epsilon"))
 
 
 def cubic_identity_model(epsilon: float = 0.02) -> ModelSpec:
@@ -430,6 +442,8 @@ def validate_model(spec: ModelSpec, tol: float = 1e-8) -> ValidationReport:
     int_{a-}^{a+} D_ij f are -1/2 times the W map of D's coefficient tensor
     at alpha_plus.
     """
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {tol!r}")
     r = spec.reaction
     failures: list[tuple[str, str]] = []
 

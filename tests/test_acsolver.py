@@ -36,6 +36,7 @@ from phasefront.acsolver import (
     trig_product_field,
 )
 from phasefront.curves import enclosed_area
+from phasefront.flow import signed_distance
 from phasefront.harness import tanh_ansatz_field
 from phasefront.mobility import tabulate_mobility
 from phasefront.model import (
@@ -592,7 +593,8 @@ def test_simulate_anisotropic_area_law():
     errs = []
     for eps, n in [(0.04, 128), (0.028, 256), (0.02, 256)]:
         spec = spec0.with_epsilon(eps)
-        u0 = tanh_ansatz_field(Grid(n), spec, table, propagation_ellipse())
+        d = signed_distance(propagation_ellipse(), Grid(n)).values
+        u0 = tanh_ansatz_field(Grid(n), spec, table, d)
         snaps = simulate(u0, spec, 4e-3, snapshot_times=[2e-3])
         a1, a2 = (enclosed_area(extract_level_set(s, spec.reaction.alpha_mid)[0])
                   for s in snaps)

@@ -189,6 +189,102 @@ def test_malformed_config_number_exits_3(tmp_path, capsys, path, value, message)
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("path, name", [
+    ((), "config"),
+    (("model",), "model"),
+    (("model", "reaction"), "reaction"),
+    (("model", "diffusivity"), "diffusivity"),
+    (("model", "diffusivity", "params"), "diffusivity params"),
+    (("grid",), "grid"),
+    (("times",), "times"),
+    (("tol",), "tol"),
+    (("shape",), "shape"),
+    (("shape", "params"), "shape params"),
+], ids=lambda v: ".".join(v) or "config" if isinstance(v, tuple) else None)
+def test_unknown_config_field_exits_3(tmp_path, capsys, path, name):
+    cfg = json.loads(json.dumps(EXPERIMENT))
+    cfg["model"]["diffusivity"]["params"] = {"dim": 2}
+    owner = cfg
+    for key in path:
+        owner = owner[key]
+    owner["zz"] = 1
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    assert cli_main(["converge", "--config", str(tmp_path / "exp.json"),
+                     "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == \
+        f"config error: {name}: unknown {name} fields ['zz']\n"
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("path, name", [
+    (("model", "reaction"), "reaction"),
+    (("model", "diffusivity"), "diffusivity"),
+    (("shape",), "shape"),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+@pytest.mark.parametrize("kind", ["blob", None, ["circle"]], ids=["name", "null", "list"])
+def test_unknown_config_kind_exits_3(tmp_path, capsys, path, name, kind):
+    cfg = json.loads(json.dumps(EXPERIMENT))
+    owner = cfg
+    for key in path:
+        owner = owner[key]
+    owner["kind"] = kind
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    assert cli_main(["converge", "--config", str(tmp_path / "exp.json"),
+                     "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == f"config error: unknown {name} kind {kind!r}\n"
+
+
+@pytest.mark.parametrize("command", ["converge", "generation"])
+def test_empty_eps_list_exits_3(tmp_path, capsys, command):
+    cfg = {**EXPERIMENT, "eps": []}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    assert cli_main([command, "--config", str(tmp_path / "exp.json"),
+                     "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == "config error: epsilon list must not be empty\n"
+    (tmp_path / "exp.json").write_text(json.dumps(EXPERIMENT))
+    assert cli_main([command, "--config", str(tmp_path / "exp.json"),
+                     "--eps", ",", "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == "config error: epsilon list must not be empty\n"
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "0"])
+def test_simulate_rejects_eps_not_finite_and_positive(cubic_cfg, tmp_path, capsys, eps):
+    assert cli_main(["simulate", "--config", cubic_cfg, "--grid", "32",
+                     "--eps", eps, "--tend", "0.001",
+                     "--out-prefix", str(tmp_path / "run")]) == 3
+    assert "epsilon must be finite and positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run*"))
+
+
+@pytest.mark.parametrize("tol, code", [("nan", 3), ("inf", 3), ("0", 3), ("-1", 3),
+                                       ("1e-8", 2), ("0.1", 0)])
+def test_validate_tol_must_be_finite_and_positive(tmp_path, capsys, tol, code):
+    # equipotential residual 0.0533: fails at 1e-8, passes at 0.1
+    cfg = tmp_path / "diag.json"
+    cfg.write_text(json.dumps({**CUBIC, "diffusivity": {
+        "kind": "diag", "params": {"entries": [1.0, [1.0, 0.2]]}}}))
+    assert cli_main(["validate", "--config", str(cfg), "--tol", tol]) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.err == f"config error: tol must be finite and positive, got {float(tol)!r}\n"
+        assert captured.out == ""
+
+
+def test_fewer_than_8_markers_exits_3(cubic_cfg, tmp_path, capsys):
+    out = tmp_path / "front.csv"
+    assert cli_main(["flow", "--mode", "front", "--config", cubic_cfg,
+                     "--tend", "0.0001", "--markers", "4", "--angles", "64",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "config error: markers must be at least 8, got 4\n"
+    assert not out.exists()
+    (tmp_path / "exp.json").write_text(json.dumps({**EXPERIMENT, "markers": 4}))
+    assert cli_main(["converge", "--config", str(tmp_path / "exp.json"),
+                     "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == "config error: markers must be at least 8, got 4\n"
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("kx, code", [(1.5, 3), (2, 0)])
 def test_trig_wave_numbers_must_be_whole(tmp_path, capsys, kx, code):
     cfg = {**EXPERIMENT, "shape": {"kind": "trig",

@@ -6,13 +6,14 @@ import pytest
 
 from helpers import propagation_spec
 
-from phasefront import errors
+from phasefront import errors, harness
 from phasefront.acsolver import Grid, read_field_dump, trig_product_field, write_field_dump
 from phasefront.config import (
     experiment_from_dict,
     parse_shape_string,
 )
 from phasefront.curves import circle_curve
+from phasefront.flow import signed_distance
 from phasefront.harness import (
     _initial_field,
     check_generation_lemma,
@@ -141,7 +142,7 @@ def test_parse_shape_string():
                    {"r": -0.1}, {"r": 0.25, "q": 1}):
         with pytest.raises(errors.ConfigError, match="shape"):
             _experiment(shape={"kind": "circle", "params": params})
-    with pytest.raises(errors.ConfigError, match="shape 'trig' has unknown"):
+    with pytest.raises(errors.ConfigError, match="unknown shape params fields"):
         _experiment(shape={"kind": "trig", "params": {"amplitud": 0.5}})
     # wave numbers are whole, and used as given
     with pytest.raises(errors.ConfigError, match=r"\['kx', 'ky'\] must be whole"):
@@ -202,6 +203,22 @@ def test_propagation_sweep_short_list():
     assert rep.passed
 
 
+def test_propagation_sweep_uses_public_ansatz_and_one_distance_per_grid(monkeypatch):
+    # every eps builds its initial data through tanh_ansatz_field, which a
+    # tracer wraps by name; two eps on one grid share the two signed distances
+    calls = {"tanh_ansatz_field": 0, "signed_distance": 0}
+    for name in calls:
+        def counting(*args, _inner=getattr(harness, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(harness, name, counting)
+    cfg = _experiment(shape={"kind": "circle", "params": {"r": 0.25}},
+                      eps=[0.08, 0.07], times={"t_end": 0.001})
+    assert cfg.grid_size_for(0.08) == cfg.grid_size_for(0.07) == 64
+    propagation_sweep(cfg)
+    assert calls == {"tanh_ansatz_field": 2, "signed_distance": 2}
+
+
 def test_propagation_rejects_trig_shape():
     cfg = _experiment()          # trig shape
     with pytest.raises(errors.ConfigError):
@@ -220,7 +237,8 @@ def test_tanh_ansatz_field():
     spec = cubic_identity_model(0.04)
     grid = Grid(128)
     table = ProfileTable.build(spec, m_angles=8)
-    fld = tanh_ansatz_field(grid, spec, table, circle_curve((0.5, 0.5), 0.25, 256))
+    d = signed_distance(circle_curve((0.5, 0.5), 0.25, 256), grid).values
+    fld = tanh_ansatz_field(grid, spec, table, d)
     assert fld.values.max() <= 1.0 and fld.values.min() >= -1.0
     assert fld.values[64, 64] < -0.9             # deep low phase at center
     x, y = grid.cell_centers()
